@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..gp.gp import GaussianProcess
 
@@ -40,6 +40,13 @@ __all__ = [
     "HWIECI",
     "HWCWEI",
 ]
+
+
+def norm_pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density, the same expression ``scipy.stats.norm``
+    evaluates (its cdf is ``scipy.special.ndtr``), so values are
+    bit-identical without importing ``scipy.stats``."""
+    return np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi)
 
 
 def expected_improvement(
@@ -60,7 +67,7 @@ def expected_improvement(
     # into NaN (or an overflowing gamma) under the closed form below.
     degenerate = sigma <= 1e-9
     gamma = improvement / np.where(degenerate, 1.0, sigma)
-    ei = sigma * (gamma * norm.cdf(gamma) + norm.pdf(gamma))
+    ei = sigma * (gamma * ndtr(gamma) + norm_pdf(gamma))
     ei = np.where(degenerate, np.maximum(improvement, 0.0), ei)
     return np.maximum(ei, 0.0)
 

@@ -20,7 +20,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..gp.gp import GaussianProcess
 from ..gp.sparse import DEFAULT_FEATURES, DEFAULT_SWITCH_AT, make_surrogate
@@ -425,7 +425,7 @@ class GPConstraintModel:
             return 1.0
         mean, var = gp.predict_noisy(x[None, :])
         sigma = max(float(np.sqrt(var[0])), 1e-9)
-        return float(norm.cdf((budget - float(mean[0])) / sigma))
+        return float(ndtr((budget - float(mean[0])) / sigma))
 
     def satisfaction_probability(self, config: Mapping) -> float:
         """``Pr(constraints satisfied at config)`` under the learned GPs."""
@@ -475,7 +475,7 @@ class GPConstraintModel:
                 continue
             mean, var = gp.predict_noisy(X)
             sigma = np.maximum(np.sqrt(var), 1e-9)
-            probability *= norm.cdf((budget - mean) / sigma)
+            probability *= ndtr((budget - mean) / sigma)
         return probability
 
     def indicator_batch(

@@ -73,12 +73,24 @@ _BAD_NLML = 1e25
 class _GPCore:
     """Skeleton shared by the exact GP and the weight-space tiers.
 
-    Everything here is independent of how the posterior is held.  A
-    subclass supplies the representation — its ``tier`` name,
-    ``is_fitted``, the NLML objectives ``_nlml_value`` /
+    Everything here but the dual posterior is independent of how the
+    posterior is held.  A subclass supplies the representation — its
+    ``tier`` name, ``is_fitted``, the NLML objectives ``_nlml_value`` /
     ``_nlml_value_and_grad`` and its own ``fit`` / ``append`` /
     ``predict`` bodies, which stay thin calls into these pieces.
+
+    The *dual* posterior is the function-space one: the lower Cholesky
+    factor ``_chol`` of the noisy ``n x n`` Gram matrix ``K + noise I``
+    of the training rows (``_gram``), the standardised targets ``_y_std``
+    and ``_alpha = (K + noise I)^{-1} y``.  The exact GP always holds it;
+    the weight-space tiers hold it while ``n < m``.  Factorisation
+    (:meth:`_factor_gram`), the ``O(n^2)`` bordered-Cholesky append
+    (:meth:`_append_dual`) and the predictive moments
+    (:meth:`_dual_moments`) live here once.
     """
+
+    #: Jitter the Gram factorisation starts its ladder from.
+    _start_jitter = _JITTER
 
     def __init__(
         self,
@@ -282,6 +294,69 @@ class _GPCore:
                     failure + "; escalating jitter to %.1e", *args, jitter
                 )
 
+    # -- dual posterior ----------------------------------------------------------
+
+    def _gram(self) -> np.ndarray:
+        """Noise-free ``n x n`` prior covariance of the training rows."""
+        raise NotImplementedError
+
+    def _factor_gram(self) -> None:
+        """Factor ``_gram() + noise I`` from scratch (jitter-escalating)."""
+        with self._stage("kernel"):
+            K = self._gram()
+        self._chol, self._jitter = self._jittered_cholesky(
+            K,
+            self.noise_variance,
+            self._start_jitter,
+            "Cholesky factorisation failed at n=%d (near-duplicate inputs?)",
+            K.shape[0],
+        )
+        self._alpha = linalg.cho_solve((self._chol, True), self._y_std)
+
+    def _append_dual(self, k: np.ndarray, k_self: float, y_std: float) -> None:
+        """Border the dual factor by one observation at fixed hypers.
+
+        The caller has already stacked the new input onto its training
+        rows; ``k`` is its prior covariance with the earlier rows and
+        ``k_self`` its prior variance.  Extends ``_chol`` by one row
+        (``O(n^2)``) instead of refactorising (``O(n^3)``), and falls back
+        to a full (jitter-escalating) refactorisation if the new row makes
+        the extended matrix numerically non-positive-definite.  All state
+        is rebound, never mutated in place, so a ``copy.copy`` of the
+        model can be appended to without disturbing the original.
+        """
+        c = linalg.solve_triangular(self._chol, k, lower=True)
+        d_sq = k_self + self.noise_variance + self._jitter - float(c @ c)
+        self._y_std = np.concatenate((self._y_std, [y_std]))
+        n = self._chol.shape[0]
+        if d_sq <= 0.0:
+            # The extended matrix lost positive-definiteness at this
+            # jitter; rebuild from scratch (escalating as needed).
+            _log.warning(
+                "rank-1 Cholesky update failed (pivot %.3g <= 0 at "
+                "n=%d); falling back to a full refactorisation",
+                d_sq,
+                n + 1,
+            )
+            self._factor_gram()
+            return
+        chol = np.zeros((n + 1, n + 1))
+        chol[:n, :n] = self._chol
+        chol[n, :n] = c
+        chol[n, n] = np.sqrt(d_sq)
+        self._chol = chol
+        self._alpha = linalg.cho_solve((self._chol, True), self._y_std)
+
+    def _dual_moments(
+        self, Ks: np.ndarray, prior_var: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Standardised latent mean and variance at queries whose prior
+        covariance with the training rows is ``Ks`` (``n x k``) and whose
+        prior variance is ``prior_var``."""
+        mean_std = Ks.T @ self._alpha
+        v = linalg.solve_triangular(self._chol, Ks, lower=True)
+        return mean_std, prior_var - np.sum(v**2, axis=0)
+
 
 class GaussianProcess(_GPCore):
     """Exact GP regression with marginal-likelihood hyper-parameter fitting.
@@ -365,7 +440,7 @@ class GaussianProcess(_GPCore):
         self._fit_hypers(
             self._X.shape[0], optimize_hypers, restarts, rng, gradient
         )
-        self._recompute_posterior()
+        self._factor_gram()
         return self
 
     def append(self, x: np.ndarray, y: float) -> "GaussianProcess":
@@ -381,29 +456,8 @@ class GaussianProcess(_GPCore):
         x, y_std = self._append_data(x, y)
         with self._stage("append"):
             k = self.kernel(self._X, x)[:, 0]
-            k_self = float(self.kernel.diag(x)[0]) + self.noise_variance + self._jitter
-            c = linalg.solve_triangular(self._chol, k, lower=True)
-            d_sq = k_self - float(c @ c)
             self._X = np.vstack((self._X, x))
-            self._y_std = np.concatenate((self._y_std, [y_std]))
-            if d_sq <= 0.0:
-                # The extended matrix lost positive-definiteness at this
-                # jitter; rebuild from scratch (escalating as needed).
-                _log.warning(
-                    "rank-1 Cholesky update failed (pivot %.3g <= 0 at "
-                    "n=%d); falling back to a full refactorisation",
-                    d_sq,
-                    self._X.shape[0],
-                )
-                self._recompute_posterior()
-                return self
-            n = self._chol.shape[0]
-            chol = np.zeros((n + 1, n + 1))
-            chol[:n, :n] = self._chol
-            chol[n, :n] = c
-            chol[n, n] = np.sqrt(d_sq)
-            self._chol = chol
-            self._alpha = linalg.cho_solve((self._chol, True), self._y_std)
+            self._append_dual(k, float(self.kernel.diag(x)[0]), y_std)
         return self
 
     def _nlml_terms(self, K: np.ndarray):
@@ -458,17 +512,8 @@ class GaussianProcess(_GPCore):
             return bad
         return nlml, grad
 
-    def _recompute_posterior(self) -> None:
-        with self._stage("kernel"):
-            K = self.kernel(self._X, self._X)
-        self._chol, self._jitter = self._jittered_cholesky(
-            K,
-            self.noise_variance,
-            _JITTER,
-            "Cholesky factorisation failed at n=%d (near-duplicate inputs?)",
-            self._X.shape[0],
-        )
-        self._alpha = linalg.cho_solve((self._chol, True), self._y_std)
+    def _gram(self) -> np.ndarray:
+        return self.kernel(self._X, self._X)
 
     # -- prediction ------------------------------------------------------------
 
@@ -480,11 +525,7 @@ class GaussianProcess(_GPCore):
         Xs = self._query(Xs)
         with self._stage("kernel"):
             Ks = self.kernel(self._X, Xs)
-        mean_std = Ks.T @ self._alpha
-        v = linalg.solve_triangular(self._chol, Ks, lower=True)
-        return self._to_original(
-            mean_std, self.kernel.diag(Xs) - np.sum(v**2, axis=0)
-        )
+        return self._to_original(*self._dual_moments(Ks, self.kernel.diag(Xs)))
 
     def log_marginal_likelihood(self) -> float:
         """Log marginal likelihood at the current hyper-parameters."""

@@ -17,19 +17,30 @@ the observation count ``n``:
   variance correction ``max(k(x,x) - phi^T phi, 0)`` so predictive
   variance converges to the exact GP's as ``Z`` densifies.
 
-Both reduce to Bayesian linear regression over the feature map: with
-``Phi`` the ``(n, m)`` design matrix, the posterior is captured by the
-``m x m`` sufficient statistics ``A = noise I + Phi^T Phi`` (held as a
-Cholesky factor), ``b = Phi^T y``, ``y^T y`` and ``n``:
+Both reduce to Bayesian linear regression over the feature map.  With
+``Phi`` the ``(n, m)`` design matrix, the posterior is held in the
+smaller of two equivalent forms:
 
-* **fit** is ``O(n m^2)`` — one pass over the data;
-* **append** is ``O(m^2)`` — a rank-1 Cholesky update of ``A``,
-  *independent of n*;
-* **predict** is ``O(k m^2)`` for ``k`` candidates — independent of n;
-* the weight-space negative log marginal likelihood and its **analytic
-  gradients** (w.r.t. log variance, log length scales, log noise) cost
-  ``O(n m^2 + n m d)`` per optimiser step, so hyper-parameter fits keep
-  the fused value-and-gradient treatment of the exact tier.
+* while ``n < m``, the **dual** form: an exact GP on the kernel
+  ``Phi Phi^T`` — ``Phi``, ``y`` and the Cholesky factor of the ``n x n``
+  matrix ``Phi Phi^T + noise I``, ``O(n m)`` memory.  It shares the exact
+  GP's jitter ladder and ``O(n^2)`` bordered-Cholesky append, and
+  predicts through ``Phi_train Phi_s^T``;
+* from ``n = m`` on (the factor is built once, when an append or a fit
+  reaches it), the **weight-space** form: the ``m x m`` sufficient
+  statistics ``A = noise I + Phi^T Phi`` (held as a Cholesky factor),
+  ``b = Phi^T y``, ``y^T y`` and ``n``.  An **append** is then
+  ``O(m^2)`` — a rank-1 Cholesky update of ``A``, *independent of n* —
+  and a **predict** ``O(k m^2)`` for ``k`` candidates.
+
+Hyper-parameters are always fitted in the weight space: its negative log
+marginal likelihood and **analytic gradients** (w.r.t. log variance, log
+length scales, log noise) cost ``O(n m^2 + n m d)`` per optimiser step,
+the fused value-and-gradient treatment of the exact tier.  A dual-form
+objective is cheaper while ``n < m``, but its accurate gradients reach a
+near-zero-noise interpolating optimum the primal form's never do, which
+measurably worsened regret against the exact tier; so only the
+posterior switches form.
 
 Every class shares the exact GP's skeleton (:class:`~repro.gp.gp._GPCore`)
 and its ``fit`` / ``append`` / ``predict`` / ``predict_noisy`` interface
@@ -100,11 +111,24 @@ class _WeightSpaceGP(_GPCore):
     Subclasses provide the feature map (:meth:`_prepare_basis` /
     :meth:`_features`), the marginal-likelihood objectives (or their own
     ``_optimize_hypers``) and an optional additive variance correction;
-    the sufficient statistics, rank-1 appends and prediction live here.
+    the posterior, appends and prediction live here.
+
+    The posterior is held in whichever form is smaller.  While ``n < m``
+    it is the dual one of :class:`~repro.gp.gp._GPCore`: an exact GP on
+    the kernel ``Phi Phi^T`` with the training features ``_Phi`` kept,
+    ``O(n m)`` memory and ``O(n^2 + n m)`` appends.  From ``n = m`` on
+    (reached by an append or by a fit) it is the weight-space one: the
+    ``m x m`` factor of ``A = noise I + Phi^T Phi``, ``b = Phi^T y`` and
+    ``beta = A^{-1} b``, with ``O(m^2)`` appends independent of n.
     """
 
     #: Tier name recorded on the profile (subclasses override).
     tier = "sparse"
+
+    # Both ``Phi Phi^T + noise I`` and ``A = noise I + Phi^T Phi`` are PD in
+    # exact arithmetic; a failed factorisation is pure round-off, so the
+    # jitter ladder starts at zero.
+    _start_jitter = 0.0
 
     def __init__(
         self,
@@ -118,7 +142,15 @@ class _WeightSpaceGP(_GPCore):
         #: Seed of the basis draws (kept separate from the proposal RNG so
         #: sparse tiers never perturb the caller's random stream).
         self.feature_seed = int(feature_seed)
-        #: Lower Cholesky factor of ``A = noise I + Phi^T Phi``.
+        #: Dual posterior (``n < m``): training features, targets and the
+        #: factor of ``Phi Phi^T + noise I``; ``_Phi`` is None otherwise.
+        self._Phi: np.ndarray | None = None
+        self._y_std: np.ndarray | None = None
+        self._chol: np.ndarray | None = None
+        self._alpha: np.ndarray | None = None
+        #: Weight-space posterior (``n >= m``): lower Cholesky factor of
+        #: ``A = noise I + Phi^T Phi``, ``b = Phi^T y``, ``A^{-1} b`` and
+        #: ``y^T y``.
         self._A_chol: np.ndarray | None = None
         self._b: np.ndarray | None = None
         self._beta: np.ndarray | None = None
@@ -144,7 +176,7 @@ class _WeightSpaceGP(_GPCore):
     @property
     def is_fitted(self) -> bool:
         """Whether the model holds a posterior."""
-        return self._A_chol is not None
+        return self._chol is not None or self._A_chol is not None
 
     @property
     def n_observations(self) -> int:
@@ -163,7 +195,7 @@ class _WeightSpaceGP(_GPCore):
         """Condition on data, optionally re-fitting hyper-parameters.
 
         Same contract as :meth:`repro.gp.gp.GaussianProcess.fit`; cost is
-        ``O(n m^2)`` instead of ``O(n^3)``.
+        ``O(n m min(n, m))`` instead of ``O(n^3)``.
         """
         X, y_std = self._fit_data(X, y, gradient)
         self._prepare_basis(X)
@@ -176,38 +208,64 @@ class _WeightSpaceGP(_GPCore):
     def append(self, x: np.ndarray, y: float) -> "_WeightSpaceGP":
         """Condition on one new observation at fixed hyper-parameters.
 
-        ``O(m^2)`` — a rank-1 Cholesky update of the ``m x m`` information
-        matrix, independent of how many observations came before.  All
-        state is rebound (never mutated in place), so a ``copy.copy`` of
-        the model can be appended to without disturbing the original —
-        the contract the constant-liar fantasy path relies on.
+        ``O(n^2 + n m)`` while ``n < m`` (a bordered Cholesky append of
+        the dual factor), the ``m x m`` factor is built once at ``n = m``,
+        and from there on ``O(m^2)`` — a rank-1 Cholesky update of ``A``,
+        independent of how many observations came before.  All state is
+        rebound (never mutated in place), so a ``copy.copy`` of the model
+        can be appended to without disturbing the original — the contract
+        the constant-liar fantasy path relies on.
         """
         x, y_std = self._append_data(x, y)
         with self._stage("append"):
             phi = self._features(x)[0]
-            self._A_chol = cholupdate(self._A_chol, phi)
-            self._b = self._b + phi * y_std
-            self._yty = self._yty + y_std * y_std
-            self._n = self._n + 1
-            self._beta = linalg.cho_solve((self._A_chol, True), self._b)
+            if self._Phi is None:
+                self._A_chol = cholupdate(self._A_chol, phi)
+                self._b = self._b + phi * y_std
+                self._yty = self._yty + y_std * y_std
+                self._n = self._n + 1
+                self._beta = linalg.cho_solve((self._A_chol, True), self._b)
+            elif self._n + 1 < phi.shape[0]:
+                k = self._Phi @ phi
+                self._Phi = np.vstack((self._Phi, phi))
+                self._n = self._n + 1
+                self._append_dual(k, float(phi @ phi), y_std)
+            else:
+                self._condition(
+                    np.vstack((self._Phi, phi)),
+                    np.concatenate((self._y_std, [y_std])),
+                )
         return self
 
     def _recompute_posterior(self, X: np.ndarray, y_std: np.ndarray) -> None:
         with self._stage("kernel"):
             Phi = self._features(X)
-        # A = noise I + Phi^T Phi is PD in exact arithmetic; a failure
-        # here is pure round-off, so the ladder starts at zero jitter.
+        self._condition(Phi, y_std)
+
+    def _condition(self, Phi: np.ndarray, y_std: np.ndarray) -> None:
+        """Hold the posterior of features ``Phi`` and targets ``y_std``,
+        dual while ``n < m`` and weight-space from there on."""
+        n, m = Phi.shape
+        self._n = n
+        if n < m:
+            self._Phi, self._y_std = Phi, y_std
+            self._A_chol = self._b = self._beta = None
+            self._factor_gram()
+            return
+        self._Phi = self._y_std = self._chol = self._alpha = None
         self._A_chol, _ = self._jittered_cholesky(
             Phi.T @ Phi,
             self.noise_variance,
-            0.0,
+            self._start_jitter,
             "sparse information matrix lost definiteness at m=%d",
-            Phi.shape[1],
+            m,
         )
         self._b = Phi.T @ y_std
         self._yty = float(y_std @ y_std)
-        self._n = X.shape[0]
         self._beta = linalg.cho_solve((self._A_chol, True), self._b)
+
+    def _gram(self) -> np.ndarray:
+        return self._Phi @ self._Phi.T
 
     # -- prediction ------------------------------------------------------------
 
@@ -215,38 +273,45 @@ class _WeightSpaceGP(_GPCore):
         """Posterior mean and variance of the *latent* function at ``Xs``.
 
         Returns a ``(mean, variance)`` pair in original target units;
-        ``O(k m^2)`` for ``k`` query points regardless of n.
+        ``O(k m min(n, m))`` for ``k`` query points.
         """
         Xs = self._query(Xs)
         with self._stage("kernel"):
             Phi = self._features(Xs)
-        mean_std = Phi @ self._beta
-        v = linalg.solve_triangular(self._A_chol, Phi.T, lower=True)
-        var_std = self.noise_variance * np.sum(v**2, axis=0)
+        if self._Phi is not None:
+            mean_std, var_std = self._dual_moments(
+                self._Phi @ Phi.T, np.sum(Phi**2, axis=1)
+            )
+        else:
+            mean_std = Phi @ self._beta
+            v = linalg.solve_triangular(self._A_chol, Phi.T, lower=True)
+            var_std = self.noise_variance * np.sum(v**2, axis=0)
         return self._to_original(
             mean_std, var_std + self._extra_variance(Xs, Phi)
         )
 
     def log_marginal_likelihood(self) -> float:
-        """Weight-space log marginal likelihood at the current posterior.
+        """Log marginal likelihood of ``y ~ N(0, Phi Phi^T + noise I)``.
 
-        Computed from the sufficient statistics alone (no pass over the
-        data): with ``A = noise I + Phi^T Phi``, the matrix determinant
+        Computed from the held posterior alone (no pass over the data).
+        In the dual form it is the exact GP's expression.  In the weight
+        space, with ``A = noise I + Phi^T Phi``, the matrix determinant
         lemma gives ``log|Phi Phi^T + noise I_n| = log|A| +
         (n - m) log noise`` and the Woodbury identity gives
         ``y^T C^{-1} y = (y^T y - b^T beta) / noise``.
         """
         if not self.is_fitted:
             raise RuntimeError("log_marginal_likelihood() before fit()")
-        m = self._A_chol.shape[0]
-        quad = (self._yty - float(self._b @ self._beta)) / self.noise_variance
-        logdet_a = 2.0 * float(np.sum(np.log(np.diag(self._A_chol))))
-        return -(
-            0.5 * quad
-            + 0.5 * logdet_a
-            + 0.5 * (self._n - m) * np.log(self.noise_variance)
-            + 0.5 * self._n * np.log(2.0 * np.pi)
-        )
+        if self._Phi is not None:
+            quad = float(self._y_std @ self._alpha)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        else:
+            m = self._A_chol.shape[0]
+            quad = (self._yty - float(self._b @ self._beta)) / self.noise_variance
+            logdet = 2.0 * float(np.sum(np.log(np.diag(self._A_chol)))) + (
+                self._n - m
+            ) * np.log(self.noise_variance)
+        return -(0.5 * quad + 0.5 * logdet + 0.5 * self._n * np.log(2.0 * np.pi))
 
 
 class RandomFourierGP(_WeightSpaceGP):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 import numpy as np
+from scipy.special import ndtr
 
 from ..space.space import SearchSpace
 from .crossval import cross_validate, rmspe
@@ -139,9 +140,7 @@ class HardwareModel:
             raise RuntimeError("satisfaction_probability() before fit()")
         prediction = self.predict_z(z)
         sigma = max(self.residual_std_, 1e-12)
-        from scipy.stats import norm
-
-        return float(norm.cdf((budget - prediction) / sigma))
+        return float(ndtr((budget - prediction) / sigma))
 
     def satisfaction_probability_batch(
         self, Z: np.ndarray, budget: float
@@ -151,9 +150,7 @@ class HardwareModel:
             raise RuntimeError("satisfaction_probability_batch() before fit()")
         predictions = self.predict_batch(Z)
         sigma = max(self.residual_std_, 1e-12)
-        from scipy.stats import norm
-
-        return norm.cdf((budget - predictions) / sigma)
+        return ndtr((budget - predictions) / sigma)
 
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"

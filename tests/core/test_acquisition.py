@@ -139,3 +139,96 @@ class TestConstraintAwareAcquisitions:
         assert HWIECI(_StubChecker()).name == "HW-IECI"
         assert HWCWEI(_StubChecker()).name == "HW-CWEI"
         assert ExpectedImprovement().name == "EI"
+
+
+class TestNormalFunctionsMatchScipyStats:
+    """The acquisition and constraint paths evaluate the standard normal
+    with ``scipy.special.ndtr`` and scipy's own pdf expression instead of
+    importing ``scipy.stats``; every value must be bit-equal to
+    ``scipy.stats.norm`` on a grid reaching the tails and infinities."""
+
+    @pytest.fixture
+    def grid(self):
+        rng = np.random.default_rng(31)
+        return np.concatenate((
+            np.linspace(-45.0, 45.0, 901),
+            rng.normal(scale=8.0, size=500),
+            [-np.inf, np.inf, -40.5, 40.5, -1e3, 1e3, 0.0, -0.0, 1e-300],
+        ))
+
+    @staticmethod
+    def _norm():
+        from scipy.stats import norm
+
+        return norm
+
+    def test_cdf_and_pdf(self, grid):
+        from repro.core.acquisition import norm_pdf
+        from scipy.special import ndtr
+
+        norm = self._norm()
+        np.testing.assert_array_equal(ndtr(grid), norm.cdf(grid))
+        np.testing.assert_array_equal(norm_pdf(grid), norm.pdf(grid))
+
+    def test_expected_improvement(self, grid):
+        norm = self._norm()
+        mean = -grid
+        variance = np.linspace(1e-4, 9.0, grid.size)
+        sigma = np.sqrt(np.maximum(variance, 1e-18))
+        gamma = (0.25 - mean) / sigma
+        with np.errstate(invalid="ignore"):
+            reference = np.maximum(
+                sigma * (gamma * norm.cdf(gamma) + norm.pdf(gamma)), 0.0
+            )
+            got = expected_improvement(mean, variance, 0.25)
+        np.testing.assert_array_equal(got, reference)
+
+    def test_learned_constraint_probability(self, grid):
+        from repro.core.constraints import ConstraintSpec, GPConstraintModel
+        from repro.space import mnist_space
+
+        norm = self._norm()
+        budget = 80.0
+        mean = budget - grid
+        var = np.linspace(0.5, 4.0, grid.size)
+
+        class _Stub:
+            def __init__(self, mean, var):
+                self.mean, self.var = mean, var
+
+            def predict_noisy(self, X):
+                return self.mean[: len(X)], self.var[: len(X)]
+
+        space = mnist_space()
+        model = GPConstraintModel(space, ConstraintSpec(power_budget_w=budget))
+        sigma = np.maximum(np.sqrt(var), 1e-9)
+        reference = norm.cdf((budget - mean) / sigma)
+        scalar = [
+            model._probability_one(
+                _Stub(mean[i : i + 1], var[i : i + 1]), budget, np.zeros(1)
+            )
+            for i in range(grid.size)
+        ]
+        np.testing.assert_array_equal(scalar, reference)
+        model._power_gp = _Stub(mean, var)
+        config = space.sample(np.random.default_rng(0))
+        batch = model.satisfaction_probability_batch([config] * grid.size)
+        np.testing.assert_array_equal(batch, reference)
+
+    def test_model_constraint_probability(self, grid):
+        from repro.models.hw_models import PowerModel
+        from repro.space import mnist_space
+
+        norm = self._norm()
+        budget = 80.0
+        model = PowerModel(mnist_space())
+        model.residual_std_ = 1.7
+        model.predict_batch = lambda Z: budget - grid
+        reference = norm.cdf((budget - (budget - grid)) / 1.7)
+        np.testing.assert_array_equal(
+            model.satisfaction_probability_batch(np.zeros((1, 1)), budget),
+            reference,
+        )
+        for value, want in zip(budget - grid, reference):
+            model.predict_z = lambda z, value=value: value
+            assert model.satisfaction_probability(np.zeros(1), budget) == want

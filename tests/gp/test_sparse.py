@@ -123,6 +123,88 @@ class TestRFFConvergence:
         np.testing.assert_allclose(Phi @ Phi.T, kernel(X, X), atol=0.1)
 
 
+def _weight_space_reference(rff, X, y_std, Xq):
+    """Mean, variance and log marginal likelihood of the explicit
+    ``m x m`` Bayesian linear regression over ``rff``'s feature map."""
+    Phi, Phi_q = rff._features(X), rff._features(Xq)
+    noise = rff.noise_variance
+    n, m = Phi.shape
+    A = Phi.T @ Phi + noise * np.eye(m)
+    b = Phi.T @ y_std
+    beta = np.linalg.solve(A, b)
+    var = noise * np.sum(Phi_q * np.linalg.solve(A, Phi_q.T).T, axis=1)
+    _, logdet_a = np.linalg.slogdet(A)
+    lml = -0.5 * (
+        (y_std @ y_std - b @ beta) / noise
+        + logdet_a
+        + (n - m) * np.log(noise)
+        + n * np.log(2.0 * np.pi)
+    )
+    return Phi_q @ beta, var, lml
+
+
+class TestDualPosterior:
+    """While ``n < m`` RFF holds the ``n x n`` dual posterior; it must be
+    the weight-space posterior, and appends must hand over to the
+    ``m x m`` factor once ``n`` reaches ``m``."""
+
+    M = 40
+
+    def _rff(self, noise=0.05):
+        return RandomFourierGP(
+            kernel=_kernel(), n_features=self.M, noise_variance=noise,
+            normalize_y=False, feature_seed=3,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, M - 1),
+        st.sampled_from([0.01, 0.05, 0.3]),
+    )
+    def test_matches_explicit_weight_space_formulas(self, seed, n, noise):
+        X, y = _toy(n, seed=seed)
+        Xq = np.random.default_rng(seed + 1).uniform(size=(15, DIM))
+        rff = self._rff(noise).fit(X, y, optimize_hypers=False)
+        assert rff._Phi is not None and rff._A_chol is None
+        mean_ref, var_ref, lml_ref = _weight_space_reference(rff, X, y, Xq)
+        mean, var = rff.predict(Xq)
+        np.testing.assert_allclose(mean, mean_ref, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(var, var_ref, rtol=1e-8)
+        assert rff.log_marginal_likelihood() == pytest.approx(lml_ref, rel=1e-8)
+
+    def test_appends_across_n_equals_m_match_a_fresh_fit(self):
+        X, y = _toy(self.M + 4, seed=21)
+        appended = self._rff().fit(X[: self.M - 3], y[: self.M - 3],
+                                   optimize_hypers=False)
+        for i in range(self.M - 3, self.M + 4):
+            appended.append(X[i], y[i])
+            assert (appended._Phi is None) == (i + 1 >= self.M)
+        assert appended._A_chol.shape == (self.M, self.M)
+        fresh = self._rff().fit(X, y, optimize_hypers=False)
+        Xq = np.random.default_rng(22).uniform(size=(20, DIM))
+        for got, want in zip(appended.predict(Xq), fresh.predict(Xq)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        assert appended.log_marginal_likelihood() == pytest.approx(
+            fresh.log_marginal_likelihood(), rel=1e-9
+        )
+        assert appended.n_observations == fresh.n_observations == self.M + 4
+
+    def test_copy_then_append_across_boundary_leaves_original_untouched(self):
+        X, y = _toy(self.M - 1, seed=23)
+        model = self._rff().fit(X, y, optimize_hypers=False)
+        Xq = np.random.default_rng(24).uniform(size=(6, DIM))
+        before = model.predict(Xq)
+        fantasy = copy.copy(model)
+        fantasy.append(Xq[0], 0.25)
+        assert fantasy._Phi is None and model._Phi.shape == (self.M - 1, self.M)
+        after = model.predict(Xq)
+        np.testing.assert_array_equal(before[0], after[0])
+        np.testing.assert_array_equal(before[1], after[1])
+        assert fantasy.n_observations == model.n_observations + 1
+        assert fantasy.predict(Xq[:1])[0][0] != before[0][0]
+
+
 class TestNystromConvergence:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))
