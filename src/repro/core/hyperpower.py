@@ -310,7 +310,6 @@ class HyperPower:
         max_evaluations: int | None = None,
         max_time_s: float | None = None,
         journal=None,
-        replay=None,
         scheduler: str = "sync",
         fidelity: FidelitySchedule | None = None,
     ) -> RunResult:
@@ -330,20 +329,16 @@ class HyperPower:
             slightly above the budget.
         journal:
             Optional crash-safe run journal (:class:`~repro.io.RunJournal`
-            or any object exposing ``append_round``/``finish`` and a
-            ``skip_replay`` flag).  Every completed round of trials is
-            flushed to it before the next round starts, so a killed
-            process loses at most the round in flight.
-        replay:
-            Optional :class:`~repro.io.JournalReplay` from an interrupted
-            run.  The driver re-runs its loop (all proposal RNG streams
-            and clock charges recompute identically) but substitutes the
-            journaled evaluation results instead of dispatching trainings,
-            verifying each recomputed round against the journal; once the
-            journal is drained the run continues live, bit-identically to
-            an uninterrupted one.  Requires the pool path (``pool=None``
-            replays by deterministic re-execution, which verifies the
-            journal but re-spends the evaluation compute).
+            or any object exposing ``append_round``/``finish``).  Every
+            completed round of trials is flushed to it before the next
+            round starts, so a killed process loses at most the round in
+            flight.  A resumed run re-runs its loop from the start (all
+            proposal RNG streams and clock charges recompute identically):
+            the journal verifies each recomputed round against its
+            recorded ones, and the pool takes each recorded evaluation
+            from :attr:`~repro.core.parallel.EvaluationPool.journaled`
+            instead of dispatching it.  The sequential path (``pool=None``)
+            re-executes every evaluation, re-spending its compute.
         scheduler:
             ``"sync"`` (the default) runs the round-barrier loop —
             byte-identical to every release before the scheduler existed.
@@ -400,11 +395,11 @@ class HyperPower:
         run_span.__enter__()
         if scheduler == "async":
             rounds = self._run_events(
-                study, max_evaluations, max_time_s, journal, replay, fidelity
+                study, max_evaluations, max_time_s, journal, fidelity
             )
         else:
             rounds = self._run_sync(
-                study, max_evaluations, max_time_s, journal, replay
+                study, max_evaluations, max_time_s, journal
             )
 
         run_span.set(rounds=rounds, samples=len(result.trials))
@@ -427,7 +422,6 @@ class HyperPower:
         max_evaluations: int | None,
         max_time_s: float | None,
         journal,
-        replay,
     ) -> int:
         """The round-barrier loop of Figure 2; returns rounds run."""
         clock = self.objective.clock
@@ -444,8 +438,6 @@ class HyperPower:
                 break
             if len(state.trials) >= study.max_samples:
                 break
-
-            replaying = replay is not None and round_index < replay.n_rounds
 
             round_size = 1
             if self.pool is not None:
@@ -464,17 +456,11 @@ class HyperPower:
 
             pool_outcomes = None
             if self.pool is None:
-                # Sequential (paper) path: replay verifies by determinism
-                # — the evaluation re-executes and must reproduce the
-                # journal byte for byte.
                 study.evaluate_and_observe(suggestions[0])
             else:
                 pool_outcomes = self.pool.evaluate_batch(
                     [s.config for s in suggestions],
                     early_term=self.early_term,
-                    replay=(
-                        replay.pool_evals(round_index) if replaying else None
-                    ),
                 )
                 batch_t0 = clock.now_s
                 clock.advance(
@@ -484,13 +470,7 @@ class HyperPower:
                 )
                 study.observe_batch(suggestions, pool_outcomes, batch_t0)
 
-            if replaying:
-                replay.verify_round(
-                    round_index, result.trials[trials_before:]
-                )
-            if journal is not None and not (
-                replaying and journal.skip_replay
-            ):
+            if journal is not None:
                 journal.append_round(
                     result.trials[trials_before:], pool_outcomes
                 )
@@ -505,7 +485,6 @@ class HyperPower:
         max_evaluations: int | None,
         max_time_s: float | None,
         journal,
-        replay,
         fidelity: FidelitySchedule | None,
     ) -> int:
         """The event-driven scheduler; returns completion events run.
@@ -536,9 +515,6 @@ class HyperPower:
 
         Each completion event is journaled as its own round: the trials
         recorded since the previous event plus the segment evaluation.
-        Journal evals land in *completion* order while a resumed run
-        re-consumes them in *submission* order, so replay substitution is
-        keyed by the recomputed ``(seed, start_epoch)``.
         """
         clock = self.objective.clock
         state = study.state
@@ -547,14 +523,6 @@ class HyperPower:
         lookup_s = self.cost_model.cache_lookup_s
         rungs = fidelity is not None
         sched = RungScheduler(fidelity) if rungs else None
-        replay_map = None
-        n_replay_rounds = 0
-        if replay is not None:
-            n_replay_rounds = replay.n_rounds
-            replay_map = {}
-            for i in range(n_replay_rounds):
-                for e in replay.pool_evals(i) or ():
-                    replay_map[(int(e.seed), int(e.start_epoch))] = e
         #: pool ticket -> (trial, stage being trained, dispatch time).
         running: dict[int, tuple[_TrialChain, int, float]] = {}
         #: suggestion ticket -> trial waiting for its rung cell to fill.
@@ -581,7 +549,6 @@ class HyperPower:
                 clock.now_s,
                 self.early_term,
                 lookup_s,
-                replay_map,
                 epochs=epochs,
                 start_epoch=start_epoch,
                 seed=rt.seed,
@@ -598,12 +565,7 @@ class HyperPower:
 
         def flush_event(pool_outcomes) -> None:
             nonlocal journal_mark, event_index
-            replaying = replay is not None and event_index < n_replay_rounds
-            if replaying:
-                replay.verify_round(event_index, result.trials[journal_mark:])
-            if journal is not None and not (
-                replaying and journal.skip_replay
-            ):
+            if journal is not None:
                 journal.append_round(
                     result.trials[journal_mark:], pool_outcomes
                 )

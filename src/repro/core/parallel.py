@@ -12,11 +12,12 @@ them without giving up the framework's determinism guarantees:
   deterministic seed derived from the pool seed and a submission counter,
   and is evaluated through
   :meth:`~repro.core.objective.NNObjective.evaluate_seeded`, so all three
-  backends produce bit-identical outcomes in submission order.  The
-  round-barrier driver dispatches a batch per round
-  (:meth:`EvaluationPool.evaluate_batch`); the event loop dispatches one
-  trial segment at a time (:meth:`EvaluationPool.submit`).  Both share one
-  cache lookup, one duplicate-sharing rule and one retry ladder.
+  backends produce bit-identical outcomes in submission order.
+  :meth:`EvaluationPool.submit` is the one dispatch path: it resolves a
+  trial segment (cache hit, duplicate of an in-flight segment, or fresh
+  evaluation under the retry ladder) and queues its completion.  The
+  round-barrier driver's :meth:`EvaluationPool.evaluate_batch` is a round
+  of ``submit`` calls made at one instant and then drained.
 * :class:`TrialCache` memoises outcomes under a canonical configuration
   hash, so duplicate proposals — common under Rand-Walk (which hovers
   around its incumbent) and grid search (which revisits coarse grids) —
@@ -355,7 +356,7 @@ class AsyncCompletion:
     ticket: int
     #: Simulated time at which the trial finished and freed its worker.
     finish_s: float
-    #: The trial's result, in the same shape the batch path produces.
+    #: The trial's result.
     outcome: PoolOutcome
     #: Worker-busy simulated seconds (backoff waits excluded), for
     #: occupancy accounting.
@@ -471,6 +472,10 @@ class EvaluationPool:
         self._events: list = []
         self._inflight_by_key: dict[str, _Inflight] = {}
         self._ticket = 0
+        #: Journaled fresh results of an interrupted run, keyed by
+        #: ``(trial seed, start_epoch)`` (:meth:`repro.io.JournalReplay.
+        #: fresh_results`); filled once when a run resumes.
+        self.journaled: dict[tuple[int, int], object] = {}
         self.bind_metrics(NOOP_METRICS)
 
     def bind_metrics(self, metrics) -> None:
@@ -540,67 +545,44 @@ class EvaluationPool:
         return seed
 
     def evaluate_batch(
-        self,
-        configs: Sequence[Mapping],
-        early_term: bool = False,
-        replay: Sequence | None = None,
+        self, configs: Sequence[Mapping], early_term: bool = False
     ) -> list[PoolOutcome]:
-        """Evaluate a batch of accepted proposals; results in input order.
+        """Evaluate a round of accepted proposals; results in input order.
 
-        Cache hits are resolved without dispatching; duplicate configs
-        *within* the batch share one evaluation (the later slots count as
-        cache hits).  Fresh evaluations get deterministic per-trial seeds
-        and run on the configured backend, each under the retry policy:
-        a faulted attempt is charged to ``retry_s`` (plus exponential
-        backoff) and redispatched under a derived seed until it succeeds
-        or the budget is exhausted, at which point the slot comes back as
-        a FAILED :class:`PoolOutcome` instead of raising.
+        The round is :meth:`submit` calls made at one instant and then
+        drained, so every slot resolves as an event-queue dispatch does: a
+        cache hit, a duplicate sharing an earlier slot's evaluation
+        (counted as a cache hit), or a fresh evaluation under the next
+        deterministic seed and the retry policy.  A slot that exhausts its
+        retry budget comes back as a FAILED :class:`PoolOutcome` instead
+        of raising.  More configs than ``workers`` run as consecutive
+        rounds of ``workers`` slots.
 
-        ``replay`` substitutes journal-recorded results for the fresh
-        dispatches (crash-safe resume): :class:`~repro.io.ReplayEval`
-        entries, in submission order.  All cache bookkeeping and the
-        seed stream advance exactly as a live batch would, so the run
-        continues bit-identically afterwards.
+        Each round counts its dispatch waves: wave ``k`` holds the fresh
+        slots still running their ``k``-th attempt.
         """
-        n = len(configs)
-        outcomes: list[PoolOutcome | None] = [None] * n
-        # (slot, task) of fresh work, plus the key each slot fills.
-        fresh: list[tuple[int, _Task]] = []
-        pending: dict[str, list[int]] = {}  # key -> duplicate slots
-        keys: list[str | None] = [None] * n
-
-        for i, config in enumerate(configs):
-            if self.cache is not None:
-                key = keys[i] = self.cache.key(config)
-                if key in pending:
-                    # Duplicate within this batch: reuse the fresh result.
-                    self._share_hit()
-                    pending[key].append(i)
-                    continue
-                cached = self._lookup(key)
-                if cached is not None:
-                    outcomes[i] = PoolOutcome(
-                        cached, cached=True, seed=None, attempts=0
-                    )
-                    continue
-                pending[key] = []
-            fresh.append((i, _Task(config, self._next_seed())))
-
-        tasks = [task for _, task in fresh]
-        if replay is None:
-            results = self._run_fresh(tasks, early_term)
-        else:
-            results = self._replay_fresh(tasks, replay)
-        for (slot, task), res in zip(fresh, results):
-            outcomes[slot] = res.pool_outcome(task.seed)
-            key = keys[slot]
-            if key is None:
-                continue
-            if _cacheable(res.outcome):
-                self.cache.put(key, res.outcome)
-            for duplicate in pending[key]:
-                outcomes[duplicate] = res.shared_outcome()
-        return outcomes  # type: ignore[return-value]
+        outcomes: list[PoolOutcome] = []
+        for start in range(0, len(configs), self.workers):
+            chunk = configs[start : start + self.workers]
+            for config in chunk:
+                self.submit(config, 0.0, early_term)
+            completions = sorted(
+                (self.next_completion() for _ in chunk),
+                key=lambda c: c.ticket,
+            )
+            round_outcomes = [c.outcome for c in completions]
+            attempts = [
+                po.attempts
+                for po in round_outcomes
+                if not po.cached and po.seed is not None
+            ]
+            for k in range(max(attempts, default=0)):
+                self._m_waves.inc()
+                self._m_occupancy.observe(
+                    sum(a > k for a in attempts) / self.workers
+                )
+            outcomes.extend(round_outcomes)
+        return outcomes
 
     def _share_hit(self) -> None:
         """Count a duplicate of an unfinished evaluation as a cache hit.
@@ -634,112 +616,67 @@ class EvaluationPool:
         # Hangs only arise from an injector; unreachable without one.
         return 1800.0  # pragma: no cover
 
-    def _run_fresh(
-        self,
-        tasks: list[_Task],
-        early_term: bool,
-        wave_metrics: bool = True,
-    ) -> list[_FreshResult]:
-        """Run fresh tasks with deterministic fault injection and retries.
+    def _run_fresh(self, task: _Task, early_term: bool) -> _FreshResult:
+        """Run one fresh task with deterministic fault injection and retries.
 
-        Returns one :class:`_FreshResult` per task, aligned with input
-        order.  Every attempt's evaluation seed and fault plan are pure
-        functions of the task's seed (see :meth:`_Task.attempt_seeds`), so
-        the outcome (including every failure) is identical on all three
+        Every attempt's evaluation seed and fault plan are pure functions
+        of the task's seed (see :meth:`_Task.attempt_seeds`), so the
+        outcome (including every failure) is identical on all three
         backends.
-
-        ``wave_metrics=False`` (the asynchronous path, where "waves" are
-        single-trial retries rather than batch rounds) skips the per-wave
-        wave/occupancy observations; dispatch counts are always recorded.
         """
-        states = [_FreshResult() for _ in tasks]
-        active = list(range(len(tasks)))
-        while active:
-            dispatch = []
-            for i in active:
-                attempt = states[i].attempts
-                eval_seed, fault_stream = tasks[i].attempt_seeds(attempt)
-                fault = (
-                    self.injector.draw(fault_stream, attempt)
-                    if self.injector is not None
-                    else None
-                )
-                dispatch.append((i, tasks[i], eval_seed, fault))
-            if wave_metrics:
-                self._m_waves.inc()
-                self._m_occupancy.observe(len(dispatch) / self.workers)
-            self._m_dispatched.inc(len(dispatch))
-            raw = self._dispatch(dispatch, early_term)
-            still_active = []
-            for (i, _, _, _), res in zip(dispatch, raw):
-                state = states[i]
-                state.attempts += 1
-                event = None
-                if isinstance(res, FaultEvent):
-                    charge = (
-                        self._hang_charge_s()
-                        if res.kind == HANG
-                        else res.cost_s
-                    )
-                    event = (res.kind, charge)
-                elif (
-                    self.retry.timeout_s is not None
-                    and res.cost_s > self.retry.timeout_s
-                ):
-                    # Natural timeout: the evaluation would have outlived
-                    # the per-trial deadline; the pool reaps it there.
-                    event = (TIMEOUT, self.retry.timeout_s)
-                if event is None:
-                    state.outcome = res
-                    continue
-                kind, charge = event
-                state.faults.append(kind)
-                if state.attempts >= self.retry.max_attempts:
-                    state.failure_kind = kind
-                    state.retry_s += charge
-                else:
-                    backoff = self.retry.backoff_s(state.attempts)
-                    state.retry_s += charge + backoff
-                    state.backoff_s += backoff
-                    self._charge_retry_wait(backoff)
-                    still_active.append(i)
-            active = still_active
-        return states
-
-    def _dispatch(
-        self, dispatch: list[tuple[int, _Task, int, object]], early_term: bool
-    ) -> list[EvaluationOutcome | FaultEvent]:
-        """One wave of task executions on the configured backend."""
-        calls = [
-            (
-                self.objective, task.config, seed, early_term, fault,
+        state = _FreshResult()
+        while True:
+            attempt = state.attempts
+            eval_seed, fault_stream = task.attempt_seeds(attempt)
+            fault = (
+                self.injector.draw(fault_stream, attempt)
+                if self.injector is not None
+                else None
+            )
+            self._m_dispatched.inc()
+            args = (
+                self.objective, task.config, eval_seed, early_term, fault,
                 task.start_epoch, task.epochs,
             )
-            for _, task, seed, fault in dispatch
-        ]
-        if self.backend == "serial":
-            return [_evaluate_task(*args) for args in calls]
-        executor = self._get_executor()
-        futures = [executor.submit(_evaluate_task, *args) for args in calls]
-        return [f.result() for f in futures]
-
-    def _replay_fresh(
-        self, tasks: list[_Task], replay: Sequence
-    ) -> list[_FreshResult]:
-        """Reconstruct fresh results from journal entries (no dispatch)."""
-        if len(replay) != len(tasks):
-            raise ValueError(
-                f"journal replay mismatch: round has {len(tasks)} fresh "
-                f"evaluations but the journal recorded {len(replay)}"
-            )
-        for task, entry in zip(tasks, replay):
-            if int(entry.seed) != task.seed:
-                raise ValueError(
-                    "journal replay mismatch: recorded trial seed "
-                    f"{entry.seed} != recomputed seed {task.seed} (was the "
-                    "run resumed with different parameters?)"
+            if self.backend == "serial":
+                res = _evaluate_task(*args)
+            else:
+                future = self._get_executor().submit(_evaluate_task, *args)
+                res = future.result()
+            state.attempts += 1
+            event = None
+            if isinstance(res, FaultEvent):
+                charge = (
+                    self._hang_charge_s() if res.kind == HANG else res.cost_s
                 )
-        return [_FreshResult.from_journal(entry) for entry in replay]
+                event = (res.kind, charge)
+            elif (
+                self.retry.timeout_s is not None
+                and res.cost_s > self.retry.timeout_s
+            ):
+                # Natural timeout: the evaluation would have outlived the
+                # per-trial deadline; the pool reaps it there.
+                event = (TIMEOUT, self.retry.timeout_s)
+            if event is None:
+                state.outcome = res
+                return state
+            kind, charge = event
+            state.faults.append(kind)
+            if state.attempts >= self.retry.max_attempts:
+                state.failure_kind = kind
+                state.retry_s += charge
+                return state
+            backoff = self.retry.backoff_s(state.attempts)
+            state.retry_s += charge + backoff
+            state.backoff_s += backoff
+            self._charge_retry_wait(backoff)
+
+    def _journaled_result(self, entry) -> _FreshResult:
+        """A journaled evaluation, charged to the metrics as it ran live."""
+        self._m_dispatched.inc(entry.attempts)
+        for retry in range(1, entry.attempts):
+            self._charge_retry_wait(self.retry.backoff_s(retry))
+        return _FreshResult.from_journal(entry)
 
     # -- asynchronous (event-driven) dispatch ----------------------------------
 
@@ -754,7 +691,6 @@ class EvaluationPool:
         now_s: float,
         early_term: bool = False,
         cache_lookup_s: float = 0.0,
-        replay=None,
         *,
         epochs: int | None = None,
         start_epoch: int = 0,
@@ -762,10 +698,10 @@ class EvaluationPool:
     ) -> int:
         """Dispatch one trial segment onto a worker slot at ``now_s``.
 
-        The asynchronous counterpart of :meth:`evaluate_batch`: the
-        segment's result (including its full retry/backoff history) is
-        computed eagerly — it is a pure function of its seed — and an
-        event is queued at the simulated time the segment will *finish*.
+        The pool's one dispatch path: the segment's result (including its
+        full retry/backoff history) is computed eagerly — it is a pure
+        function of its seed — and an event is queued at the simulated
+        time the segment will *finish*.
         :meth:`next_completion` pops events in completion order, freeing
         the slot the moment its segment ends instead of at a round
         barrier.  Returns the submission-order ticket.
@@ -782,17 +718,14 @@ class EvaluationPool:
 
         Cache hits finish after one ``cache_lookup_s``; a duplicate of an
         *in-flight* segment waits for the original dispatch and then reads
-        its result at lookup cost (counted as a cache hit, exactly like a
-        within-batch duplicate on the batch path).  The cache itself is
-        only populated when the original completion is popped, so a
-        submission never observes a result from its simulated future.
+        its result at lookup cost (counted as a cache hit).  The cache
+        itself is only populated when the original completion is popped,
+        so a submission never observes a result from its simulated future.
 
-        ``replay`` maps ``(trial_seed, start_epoch)`` to
-        :class:`~repro.io.ReplayEval` entries from a recovered journal; a
-        fresh dispatch found there substitutes the journaled result
-        instead of re-executing (completions journal out of submission
-        order, and a trial appears once per segment, so the lookup is by
-        key, not position).
+        A fresh dispatch found in :attr:`journaled` (a resumed run) takes
+        the recorded result instead of re-executing.  The lookup is by
+        ``(trial seed, start_epoch)``, not position: completions journal
+        out of submission order, and a trial appears once per segment.
         """
         if self.n_inflight >= self.workers:
             raise RuntimeError(
@@ -838,13 +771,11 @@ class EvaluationPool:
             start_epoch,
             epochs,
         )
-        replay_eval = (
-            None if replay is None else replay.get((task.seed, start_epoch))
-        )
-        if replay_eval is not None:
-            res = _FreshResult.from_journal(replay_eval)
+        recorded = self.journaled.get((task.seed, start_epoch))
+        if recorded is not None:
+            res = self._journaled_result(recorded)
         else:
-            res = self._run_fresh([task], early_term, wave_metrics=False)[0]
+            res = self._run_fresh(task, early_term)
         outcome = res.pool_outcome(task.seed, epochs, start_epoch)
         finish_s = now_s + outcome.total_cost_s
         entry = None

@@ -405,7 +405,7 @@ class ExperimentSetup:
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, 4, int(run_seed), tag])
         )
-        run_journal, replay = self._journal_and_replay(
+        run_journal = self._open_journal(
             journal,
             resume_from,
             meta={
@@ -437,13 +437,15 @@ class ExperimentSetup:
                 ),
             },
         )
+        recorded = None if run_journal is None else run_journal.recorded
+        if pool is not None and recorded is not None:
+            pool.journaled = recorded.fresh_results()
         try:
             return driver.run(
                 rng,
                 max_evaluations=max_evaluations,
                 max_time_s=max_time_s,
                 journal=run_journal,
-                replay=replay,
                 scheduler=scheduler,
                 fidelity=fidelity,
             )
@@ -454,34 +456,33 @@ class ExperimentSetup:
                 pool.close()
 
     @staticmethod
-    def _journal_and_replay(journal, resume_from, meta):
-        """Open the journal writer and/or replay for one run.
+    def _open_journal(journal, resume_from, meta):
+        """Open the journal writer for one run, carrying the recorded
+        rounds of ``resume_from`` when it resumes one.
 
         Imported lazily: :mod:`repro.io` is only needed when journaling is
         actually requested.
         """
         if journal is None and resume_from is None:
-            return None, None
+            return None
         from ..io import JournalReplay, RunJournal
 
-        replay = None
-        if resume_from is not None:
-            replay = JournalReplay.load(resume_from)
-            if replay.meta != meta:
-                raise ValueError(
-                    "cannot resume: the journal was written under different "
-                    f"run parameters ({replay.meta!r} != {meta!r})"
-                )
-        if journal is None:
-            run_journal = RunJournal.reopen(resume_from)
-        elif (
-            resume_from is not None
-            and Path(journal).resolve() == Path(resume_from).resolve()
+        if resume_from is None:
+            return RunJournal(journal, meta=meta)
+        recorded = JournalReplay.load(resume_from)
+        if recorded.meta != meta:
+            raise ValueError(
+                "cannot resume: the journal was written under different "
+                f"run parameters ({recorded.meta!r} != {meta!r})"
+            )
+        if (
+            journal is None
+            or Path(journal).resolve() == Path(resume_from).resolve()
         ):
-            run_journal = RunJournal.reopen(journal)
-        else:
-            run_journal = RunJournal(journal, meta=meta)
-        return run_journal, replay
+            return RunJournal.reopen(resume_from)
+        run_journal = RunJournal(journal, meta=meta)
+        run_journal.recorded = recorded
+        return run_journal
 
 
 def quick_setup(

@@ -9,10 +9,11 @@ trials inlined, NaNs encoded as ``null``.
 The journal half (:class:`RunJournal` / :class:`JournalReplay`) protects
 runs *while they execute*: every completed round of trials is appended to
 a JSONL file and fsynced before the next round starts, so a killed
-process loses at most the round in flight.  Resuming replays the journal
-through the driver — proposals, RNG streams and clock charges recompute
-identically while the journaled evaluation results substitute for the
-trainings — and the run continues bit-identically to an uninterrupted one.
+process loses at most the round in flight.  Resuming re-runs the driver
+— proposals, RNG streams and clock charges recompute identically, the
+journal verifies each recomputed round and the pool looks the journaled
+evaluation results up instead of training — and the run continues
+bit-identically to an uninterrupted one.
 The per-line durability and torn-tail recovery come from
 :mod:`repro.telemetry.jsonl`, the same machinery behind span-trace export.
 """
@@ -313,17 +314,23 @@ class RunJournal:
     flushed and fsynced before :meth:`append_round` returns, so a crash
     loses at most the round in flight; :func:`JournalReplay.load`
     tolerates (and a resuming :meth:`reopen` truncates) a torn tail.
+
+    A resumed run re-runs from its first round.  :meth:`append_round`
+    checks each round against :attr:`recorded`, in order, and skips the
+    write of a round already in this file.
     """
 
     def __init__(self, path: str | Path, meta: dict | None = None, *,
                  chaos=None):
         self.path = Path(path)
         self.meta = {} if meta is None else dict(meta)
-        #: Whether the driver should *not* re-append rounds it is
-        #: replaying from this very file (set by :meth:`reopen`).
-        self.skip_replay = False
+        #: The interrupted run's rounds (a :class:`JournalReplay`) that a
+        #: resumed run must reproduce; ``None`` for a fresh run.
+        self.recorded: JournalReplay | None = None
         self.finished = False
         self._round = 0
+        #: Rounds already in this file (the prefix :meth:`reopen` kept).
+        self._on_disk = 0
         self._writer = JsonlWriter(self.path, chaos=chaos)
         self._write_line({"format": JOURNAL_FORMAT, "meta": self.meta})
 
@@ -332,18 +339,18 @@ class RunJournal:
         """Reopen an interrupted journal for a resumed run.
 
         Recovers the valid round prefix (truncating any torn tail and any
-        end marker), then appends the resumed run's new rounds after it.
-        The returned journal has ``skip_replay=True``: the replayed
-        rounds are already on disk.
+        end marker) as :attr:`recorded`, then appends the resumed run's
+        rounds after it.
         """
         path = Path(path)
-        header, rounds, _, keep = _scan_journal(path)
+        header, rounds, end, keep = _scan_journal(path)
         journal = cls.__new__(cls)
         journal.path = path
         journal.meta = dict(header.get("meta", {}))
-        journal.skip_replay = True
+        journal.recorded = JournalReplay(journal.meta, rounds, end is not None)
         journal.finished = False
-        journal._round = len(rounds)
+        journal._round = 0
+        journal._on_disk = len(rounds)
         with open(path, "r+b") as fh:
             fh.truncate(keep)
         journal._writer = JsonlWriter(path, append=True, chaos=chaos)
@@ -359,10 +366,20 @@ class RunJournal:
 
         ``pool_outcomes`` is the round's full :class:`~repro.core.
         parallel.PoolOutcome` list (``None`` on the sequential path);
-        only the fresh dispatches — the slots a replay must substitute —
+        only the fresh dispatches — the results a resumed pool looks up —
         are journaled, since cache hits and within-batch duplicates
         reconstruct themselves from the earlier rounds' outcomes.
+
+        Raises
+        ------
+        ValueError
+            When a resumed run's round differs from the recorded one.
         """
+        if self.recorded is not None and self._round < self.recorded.n_rounds:
+            self.recorded.verify_round(self._round, trials)
+        if self._round < self._on_disk:
+            self._round += 1
+            return
         record = {
             "round": self._round,
             "trials": [trial_to_dict(t) for t in trials],
@@ -407,7 +424,7 @@ class RunJournal:
 
 @dataclass(frozen=True)
 class ReplayEval:
-    """One journaled fresh evaluation, ready for pool substitution."""
+    """One journaled fresh evaluation, as a resumed pool looks it up."""
 
     seed: int
     outcome: EvaluationOutcome | None
@@ -422,7 +439,7 @@ class ReplayEval:
 
 
 class JournalReplay:
-    """A recovered journal, in the shape the driver's replay hooks need."""
+    """A recovered journal: its meta, recorded rounds and fresh results."""
 
     def __init__(self, meta: dict, rounds: list[dict], finished: bool):
         self.meta = meta
@@ -430,33 +447,6 @@ class JournalReplay:
         #: Whether the journal carries the run's end marker — nothing was
         #: lost, the resumed run will replay to completion and stop.
         self.finished = finished
-        self._evals = [
-            None
-            if r["evals"] is None
-            else [
-                ReplayEval(
-                    seed=int(e["seed"]),
-                    outcome=(
-                        None
-                        if e["outcome"] is None
-                        else outcome_from_dict(e["outcome"])
-                    ),
-                    attempts=int(e["attempts"]),
-                    faults=tuple(e["faults"]),
-                    failure_kind=e["failure_kind"],
-                    retry_s=float(e["retry_s"]),
-                    backoff_s=float(e.get("backoff_s", 0.0)),
-                    start_epoch=int(e.get("start_epoch", 0)),
-                    epochs=(
-                        None
-                        if e.get("epochs") is None
-                        else int(e["epochs"])
-                    ),
-                )
-                for e in r["evals"]
-            ]
-            for r in rounds
-        ]
 
     @classmethod
     def load(cls, path: str | Path) -> "JournalReplay":
@@ -473,10 +463,32 @@ class JournalReplay:
         """Journaled (replayable) rounds."""
         return len(self._rounds)
 
-    def pool_evals(self, round_index: int):
-        """The fresh-evaluation substitutions for one round (``None`` on
-        sequential-path rounds, which re-execute deterministically)."""
-        return self._evals[round_index]
+    def fresh_results(self) -> dict[tuple[int, int], ReplayEval]:
+        """Every journaled fresh evaluation, keyed by ``(trial seed,
+        start_epoch)`` — the table a resumed pool looks dispatches up in
+        (sequential-path rounds journal none: they re-execute)."""
+        table = {}
+        for record in self._rounds:
+            for e in record["evals"] or ():
+                entry = ReplayEval(
+                    seed=int(e["seed"]),
+                    outcome=(
+                        None
+                        if e["outcome"] is None
+                        else outcome_from_dict(e["outcome"])
+                    ),
+                    attempts=int(e["attempts"]),
+                    faults=tuple(e["faults"]),
+                    failure_kind=e["failure_kind"],
+                    retry_s=float(e["retry_s"]),
+                    backoff_s=float(e.get("backoff_s", 0.0)),
+                    start_epoch=int(e.get("start_epoch", 0)),
+                    epochs=(
+                        None if e.get("epochs") is None else int(e["epochs"])
+                    ),
+                )
+                table[(entry.seed, entry.start_epoch)] = entry
+        return table
 
     def verify_round(self, round_index: int, trials) -> None:
         """Check a recomputed round against the journal, field by field.

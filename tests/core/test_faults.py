@@ -9,6 +9,7 @@ the predictive models without poisoning the trial cache.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +250,7 @@ class TestPoolFailureSemantics:
         pool = EvaluationPool(
             objective,
             backend="serial",
+            workers=2,
             seed=0,
             cache=cache,
             injector=FaultInjector(FaultRates(crash=1.0), seed=0),
@@ -387,3 +389,41 @@ class TestDriverUnderFaults:
         parsed = json.loads(docs["serial"])
         statuses = {t["status"] for t in parsed["trials"]}
         assert "failed" in statuses, "rates chosen to force FAILED trials"
+
+
+#: Pin of the round-barrier pool path under faults, cache hits, retries
+#: and mixed rounds: a cold run and then a warm run on the same cache must
+#: match it byte for byte on every backend.
+COLD_WARM_FIXTURE = (
+    Path(__file__).parent / "data" / "sync_faults_cold_warm.json"
+)
+
+
+def _cold_warm_payload(setup, backend) -> str:
+    """Two Rand/default runs sharing one cache: cold, then warm."""
+    from repro.core.parallel import TrialCache
+    from repro.telemetry import Telemetry
+
+    cache = TrialCache()
+    payload = {}
+    for name in ("cold", "warm"):
+        telemetry = Telemetry()
+        result = setup.run(
+            "Rand", "default", run_seed=3, max_evaluations=12,
+            backend=backend, workers=3, cache=cache,
+            faults=FaultRates(crash=0.3, nvml=0.1), fault_seed=5,
+            retry=RetryPolicy(max_attempts=3), telemetry=telemetry,
+        )
+        payload[name] = {
+            "run": run_to_dict(result),
+            "metrics": telemetry.metrics.snapshot(),
+        }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.faults
+def test_sync_pool_cold_then_warm_matches_fixture(setup, fault_backend):
+    payload = _cold_warm_payload(setup, fault_backend)
+    warm = json.loads(payload)["warm"]["run"]["trials"]
+    assert sum(t["status"] == "cached" for t in warm) == 10
+    assert payload == COLD_WARM_FIXTURE.read_text(encoding="utf-8")

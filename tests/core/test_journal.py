@@ -18,6 +18,7 @@ from repro.core.faults import FaultRates, RetryPolicy
 from repro.core.hyperpower import SOLVERS, VARIANTS
 from repro.experiments.setup import quick_setup
 from repro.io import JOURNAL_FORMAT, JournalReplay, RunJournal, run_to_dict
+from repro.telemetry import Telemetry
 
 N_ITERATIONS = 10
 
@@ -96,7 +97,7 @@ class TestRunJournal:
         torn = tmp_path / "torn.jsonl"
         _truncate_rounds(path, torn, keep_rounds=2)
         journal = RunJournal.reopen(torn)
-        assert journal.skip_replay
+        assert journal.recorded.n_rounds == 2
         journal.close()
         # The torn line is gone; the valid prefix parses round-trip.
         recovered = JournalReplay.load(torn)
@@ -205,6 +206,39 @@ class TestResume:
                 "Rand-Walk", "hyperpower", run_seed=2, max_evaluations=6,
                 backend="serial", workers=2, resume_from=path,
             )
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("scheduler", ["sync", "async"])
+def test_resumed_run_reports_the_same_metrics(
+    setup, tmp_path, scheduler, fault_backend
+):
+    """A resumed run's metrics snapshot equals an uninterrupted run's:
+    journaled results charge their dispatches, dispatch waves and backoff
+    waits exactly as the live evaluations did."""
+    kwargs = dict(
+        run_seed=2, max_evaluations=N_ITERATIONS, backend=fault_backend,
+        workers=2, scheduler=scheduler,
+        faults=FaultRates(crash=0.3, nvml=0.2), fault_seed=11,
+    )
+    path = tmp_path / "full.jsonl"
+    full_telemetry = Telemetry()
+    full = setup.run(
+        "Rand", "hyperpower", journal=path, telemetry=full_telemetry,
+        **kwargs,
+    )
+    torn = tmp_path / "torn.jsonl"
+    n_rounds = JournalReplay.load(path).n_rounds
+    _truncate_rounds(path, torn, keep_rounds=n_rounds // 2)
+    resumed_telemetry = Telemetry()
+    resumed = setup.run(
+        "Rand", "hyperpower", resume_from=torn, telemetry=resumed_telemetry,
+        **kwargs,
+    )
+    assert run_to_dict(resumed) == run_to_dict(full)
+    full_metrics = full_telemetry.metrics.snapshot()
+    assert full_metrics["pool.retry_wait_s"]["value"] > 0
+    assert resumed_telemetry.metrics.snapshot() == full_metrics
 
 
 @pytest.mark.slow
