@@ -110,9 +110,11 @@ class NNObjective:
             self.early_termination.should_stop if early_term else None
         )
         run_rng = np.random.default_rng(self._rng.integers(2**63))
-        result = self.trainer.train(config, run_rng, stop_callback=stop_callback)
-
         network = build_network(self.dataset_name, config)
+        result = self.trainer.train(
+            config, run_rng, stop_callback=stop_callback, network=network
+        )
+
         measurement = self.profiler.profile(network)
         feasible = self.spec.measured_feasible(
             measurement.power_w, measurement.memory_bytes, measurement.latency_s
@@ -189,6 +191,7 @@ class NNObjective:
         if epochs is None:
             epochs = schedule
         run_seq, profile_seq = np.random.SeedSequence(int(seed)).spawn(2)
+        network = build_network(self.dataset_name, config)
         result = self.trainer.train(
             config,
             np.random.default_rng(run_seq),
@@ -196,6 +199,7 @@ class NNObjective:
             stop_callback=stop_callback,
             start_epoch=start_epoch,
             schedule_epochs=max(int(epochs), schedule),
+            network=network,
         )
 
         if fault is not None and fault.kind == NAN_LOSS:
@@ -206,7 +210,6 @@ class NNObjective:
         measurement = None
         nominal_cost = result.wall_time_s
         if start_epoch == 0:
-            network = build_network(self.dataset_name, config)
             # A per-trial profiler: the shared one's sensor-noise stream
             # is order-dependent, which parallel evaluation must not be.
             profiler = HardwareProfiler(

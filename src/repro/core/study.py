@@ -26,7 +26,7 @@ loops over this API; the multi-tenant service layer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,9 @@ class Suggestion:
     observed_error: float | None = None
     #: Cumulative epochs behind ``observed_error``.
     observed_epochs: int = 0
+    #: :func:`~repro.core.parallel.canonical_config_key` of ``config``,
+    #: hashed once when the suggestion is made; never serialised.
+    key: str = field(default="", repr=False)
 
 
 @dataclass(frozen=True)
@@ -342,11 +345,13 @@ class Study:
             proposal = self._propose(pending)
             ticket = self._next_ticket
             self._next_ticket += 1
+            config = dict(proposal.config)
             suggestions.append(
                 Suggestion(
                     ticket=ticket,
                     proposal=proposal,
-                    config=dict(proposal.config),
+                    config=config,
+                    key=canonical_config_key(config),
                 )
             )
             if len(self.state.trials) >= self.max_samples:
@@ -360,9 +365,8 @@ class Study:
         return suggestions
 
     def _find_pending_duplicate(self, suggestion: Suggestion) -> int | None:
-        key = canonical_config_key(suggestion.config)
         for ticket, other in self._pending.items():
-            if canonical_config_key(other.config) == key:
+            if other.key == suggestion.key:
                 return ticket
         return None
 

@@ -46,10 +46,7 @@ _IN_PLACE_LAYERS = (ReLU, Dropout, Softmax)
 
 def weights_bytes(network: NetworkSpec) -> int:
     """Bytes of learnable parameters."""
-    return sum(
-        layer.weight_bytes(in_shape)
-        for layer, in_shape, _ in network.walk()
-    )
+    return network.profile.weight_bytes
 
 
 def activation_blob_bytes(network: NetworkSpec, batch: int) -> int:
@@ -61,10 +58,10 @@ def activation_blob_bytes(network: NetworkSpec, batch: int) -> int:
     for dim in network.input_shape:
         elements *= dim
     total = elements * DTYPE_BYTES * batch
-    for layer, in_shape, _ in network.walk():
+    for layer, cost in zip(network.layers, network.profile.layers):
         if isinstance(layer, _IN_PLACE_LAYERS):
             continue
-        total += layer.activation_bytes(in_shape) * batch
+        total += cost.activation_bytes * batch
     return total
 
 

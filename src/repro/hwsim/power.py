@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.layers import DTYPE_BYTES
-from ..nn.metrics import NetworkProfile, profile_network
 from ..nn.network import NetworkSpec
 from .device import DeviceModel
 
@@ -118,7 +117,6 @@ def inference_timing(
     network: NetworkSpec,
     device: DeviceModel,
     batch: int | None = None,
-    profile: NetworkProfile | None = None,
 ) -> InferenceTiming:
     """Roofline timing of one inference batch of ``network`` on ``device``.
 
@@ -130,13 +128,11 @@ def inference_timing(
         batch = device.profile_batch
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    if profile is None:
-        profile = profile_network(network)
 
     total = compute = memory = overhead = 0.0
     flops = 0.0
     bytes_moved = 0.0
-    for layer in profile.layers:
+    for layer in network.profile.layers:
         layer_flops = layer.flops * batch
         layer_bytes = _layer_bytes(layer, batch)
         t_compute = (layer_flops + device.compute_latency_flops) / device.peak_flops
@@ -167,9 +163,8 @@ def layer_timings(
         batch = device.profile_batch
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    profile = profile_network(network)
     records = []
-    for layer in profile.layers:
+    for layer in network.profile.layers:
         flops = layer.flops * batch
         moved = _layer_bytes(layer, batch)
         t_compute = (flops + device.compute_latency_flops) / device.peak_flops

@@ -9,9 +9,12 @@ cites as the more elaborate modeling backend HyperPower can plug in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .layers import DTYPE_BYTES, Layer, Shape
-from .network import NetworkSpec
+from .layers import DTYPE_BYTES, Shape
+
+if TYPE_CHECKING:
+    from .network import NetworkSpec
 
 __all__ = [
     "LayerProfile",
@@ -112,49 +115,38 @@ class NetworkProfile:
 
 
 def profile_network(network: NetworkSpec) -> NetworkProfile:
-    """Compute the per-layer analytic profile of ``network``."""
-    profiles = []
-    for index, (layer, in_shape, out_shape) in enumerate(network.walk()):
-        profiles.append(
-            LayerProfile(
-                index=index,
-                kind=type(layer).__name__,
-                input_shape=in_shape,
-                output_shape=out_shape,
-                params=layer.param_count(in_shape),
-                flops=layer.flops(in_shape),
-                weight_bytes=layer.weight_bytes(in_shape),
-                activation_bytes=layer.activation_bytes(in_shape),
-            )
-        )
-    return NetworkProfile(layers=tuple(profiles))
+    """The per-layer analytic profile of ``network``.
+
+    This is :attr:`NetworkSpec.profile`: computed once per spec and kept.
+    """
+    return network.profile
 
 
 def total_flops(network: NetworkSpec) -> int:
     """Inference FLOPs of ``network`` for one sample."""
-    return profile_network(network).total_flops
+    return network.profile.total_flops
 
 
 def total_params(network: NetworkSpec) -> int:
     """Learnable parameter count of ``network``."""
-    return profile_network(network).total_params
+    return network.profile.total_params
 
 
 def weight_bytes(network: NetworkSpec) -> int:
     """Bytes of ``network``'s parameters."""
-    return profile_network(network).weight_bytes
+    return network.profile.weight_bytes
 
 
 def activation_bytes(network: NetworkSpec) -> int:
     """Sum of per-layer activation bytes of ``network`` for one sample."""
-    return profile_network(network).activation_bytes
+    return network.profile.activation_bytes
 
 
 def peak_activation_bytes(network: NetworkSpec) -> int:
     """Live-activation high-water mark of ``network`` for one sample."""
-    return profile_network(network).peak_activation_bytes
+    return network.profile.peak_activation_bytes
 
 
 def memory_traffic_bytes(network: NetworkSpec) -> int:
     """Approximate DRAM traffic of ``network`` for one inference sample."""
-    return profile_network(network).memory_traffic_bytes
+    return network.profile.memory_traffic_bytes

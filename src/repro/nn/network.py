@@ -9,9 +9,11 @@ prototxt would fail inside Caffe.
 
 from __future__ import annotations
 
+import zlib
 from collections.abc import Iterable, Sequence
 
 from .layers import Layer, Shape
+from .metrics import LayerProfile, NetworkProfile
 
 __all__ = ["NetworkSpec"]
 
@@ -50,6 +52,8 @@ class NetworkSpec:
                     f"{shapes[-1]}: {exc}"
                 ) from exc
         self._shapes: tuple[Shape, ...] = tuple(shapes)
+        self._profile: NetworkProfile | None = None
+        self._fingerprint: int | None = None
 
         if self._shapes[-1] != (self._num_classes,):
             raise ValueError(
@@ -109,12 +113,41 @@ class NetworkSpec:
         Unlike ``hash()``, this does not depend on ``PYTHONHASHSEED``, so it
         can seed reproducible per-network effects (e.g. the hardware
         simulator's kernel-selection power variation) across processes.
+        Computed on first use and kept, like :attr:`profile`.
         """
-        import zlib
+        if self._fingerprint is None:
+            parts = [repr(self._input_shape), repr(self._num_classes)]
+            parts.extend(repr(layer) for layer in self._layers)
+            self._fingerprint = zlib.crc32("|".join(parts).encode("utf-8"))
+        return self._fingerprint
 
-        parts = [repr(self._input_shape), repr(self._num_classes)]
-        parts.extend(repr(layer) for layer in self._layers)
-        return zlib.crc32("|".join(parts).encode("utf-8"))
+    @property
+    def profile(self) -> NetworkProfile:
+        """The per-layer analytic cost profile (FLOPs, parameters, bytes).
+
+        Computed on first use and kept: the spec and its layers are
+        immutable, so every later reader (capacity, timing, power) shares
+        one profile.
+        """
+        if self._profile is None:
+            self._profile = NetworkProfile(
+                layers=tuple(
+                    LayerProfile(
+                        index=index,
+                        kind=type(layer).__name__,
+                        input_shape=in_shape,
+                        output_shape=out_shape,
+                        params=layer.param_count(in_shape),
+                        flops=layer.flops(in_shape),
+                        weight_bytes=layer.weight_bytes(in_shape),
+                        activation_bytes=layer.activation_bytes(in_shape),
+                    )
+                    for index, (layer, in_shape, out_shape) in enumerate(
+                        self.walk()
+                    )
+                )
+            )
+        return self._profile
 
     # -- shapes ---------------------------------------------------------------
 

@@ -436,9 +436,8 @@ class ManagedStudy:
                     f"{len(suggestions)} proposals, journal has {len(tickets)}"
                 )
             for suggestion, ticket, config in zip(suggestions, tickets, configs):
-                recomputed = canonical_config_key(suggestion.config)
                 journaled = canonical_config_key(self.spec.space.coerce(config))
-                if suggestion.ticket != ticket or recomputed != journaled:
+                if suggestion.ticket != ticket or suggestion.key != journaled:
                     raise ValueError(
                         f"{self.journal_path}: replayed suggestion "
                         f"{suggestion.ticket} diverged from the journal "

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.builder import build_network
-from ..nn.metrics import total_params
+from ..nn.network import NetworkSpec
 from .dataset import DatasetSpec
 
 __all__ = ["SurfaceParams", "SurfaceEvaluation", "ErrorSurface",
@@ -197,12 +197,27 @@ class ErrorSurface:
                 keys.append(int(round(float(value) * 1e7)) & 0x7FFFFFFF)
         return np.random.default_rng(np.random.SeedSequence([self.seed, *keys]))
 
+    def _jitters(self, config: Mapping) -> tuple[float, float]:
+        """The configuration's two deterministic jitters, in draw order:
+        structural error (relative, log scale) then divergence threshold
+        (decades).  :meth:`divergence_threshold` always skips the first."""
+        p = self.params
+        rng = self._config_rng(config)
+        jitter = rng.normal(0.0, p.jitter_rel)
+        return jitter, rng.normal(0.0, p.divergence_jitter_dex)
+
     # -- surface components -----------------------------------------------------
 
-    def capacity(self, config: Mapping) -> float:
-        """Capacity score in ``[0, 1]`` from the network's parameter count."""
-        network = build_network(self.dataset.name, config)
-        log_params = math.log10(max(1, total_params(network)))
+    def capacity(
+        self, config: Mapping, network: NetworkSpec | None = None
+    ) -> float:
+        """Capacity score in ``[0, 1]`` from the network's parameter count.
+
+        ``network`` is ``config``'s built network, when the caller has it.
+        """
+        if network is None:
+            network = build_network(self.dataset.name, config)
+        log_params = math.log10(max(1, network.profile.total_params))
         p = self.params
         raw = (log_params - p.log_params_low) / (
             p.log_params_high - p.log_params_low
@@ -228,16 +243,27 @@ class ErrorSurface:
                 offset += 0.08 * span * (float(config[name]) - 2.0) ** 2 / 1.0
         return offset
 
-    def structural_error(self, config: Mapping) -> float:
-        """Solver-independent achievable error of the architecture."""
+    def structural_error(
+        self,
+        config: Mapping,
+        capacity: float | None = None,
+        jitter: float | None = None,
+    ) -> float:
+        """Solver-independent achievable error of the architecture.
+
+        ``capacity`` and ``jitter`` (the first of :meth:`_jitters`) are
+        computed from ``config`` when not given.
+        """
         p = self.params
         dataset = self.dataset
-        capacity = self.capacity(config)
+        if capacity is None:
+            capacity = self.capacity(config)
+        if jitter is None:
+            jitter = self._jitters(config)[0]
         base = dataset.floor_error + dataset.capacity_error_span * (
             (1.0 - capacity) ** p.capacity_exponent
         )
         base += self._shape_adjustment(config)
-        jitter = self._config_rng(config).normal(0.0, p.jitter_rel)
         base *= math.exp(jitter)
         return float(
             min(dataset.chance_error, max(dataset.floor_error * 0.9, base))
@@ -251,20 +277,33 @@ class ErrorSurface:
             raise ValueError(f"momentum {momentum} outside [0, 1)")
         return lr / (1.0 - momentum)
 
-    def step_optimum(self, config: Mapping) -> float:
+    def step_optimum(
+        self, config: Mapping, capacity: float | None = None
+    ) -> float:
         """The configuration's optimal effective step size."""
         p = self.params
-        capacity = self.capacity(config)
+        if capacity is None:
+            capacity = self.capacity(config)
         # Bigger networks want smaller steps.
         return p.step_optimum * 10.0 ** (-p.step_capacity_shift * (capacity - 0.5))
 
-    def divergence_threshold(self, config: Mapping) -> float:
-        """Effective step size beyond which this configuration diverges."""
+    def divergence_threshold(
+        self,
+        config: Mapping,
+        capacity: float | None = None,
+        jitter_dex: float | None = None,
+    ) -> float:
+        """Effective step size beyond which this configuration diverges.
+
+        ``capacity`` and ``jitter_dex`` (the second of :meth:`_jitters`,
+        past the draw :meth:`structural_error` uses) are computed from
+        ``config`` when not given.
+        """
         p = self.params
-        capacity = self.capacity(config)
-        rng = self._config_rng(config)
-        rng.normal()  # skip the draw used by structural_error's jitter
-        jitter_dex = rng.normal(0.0, p.divergence_jitter_dex)
+        if capacity is None:
+            capacity = self.capacity(config)
+        if jitter_dex is None:
+            jitter_dex = self._jitters(config)[1]
         # Bigger networks are slightly more fragile.
         shift = -0.12 * (capacity - 0.5)
         return p.divergence_step * 10.0 ** (shift + jitter_dex)
@@ -275,14 +314,22 @@ class ErrorSurface:
 
     # -- full evaluation ---------------------------------------------------------
 
-    def evaluate(self, config: Mapping) -> SurfaceEvaluation:
-        """Ground-truth training outcome of ``config``."""
+    def evaluate(
+        self, config: Mapping, network: NetworkSpec | None = None
+    ) -> SurfaceEvaluation:
+        """Ground-truth training outcome of ``config``.
+
+        The network is built (unless given) and its capacity and jitters
+        computed once, then shared by every component.
+        """
         p = self.params
         dataset = self.dataset
-        structural = self.structural_error(config)
+        capacity = self.capacity(config, network)
+        jitter, jitter_dex = self._jitters(config)
+        structural = self.structural_error(config, capacity, jitter)
         step = self.effective_step(config)
-        opt = self.step_optimum(config)
-        threshold = self.divergence_threshold(config)
+        opt = self.step_optimum(config, capacity)
+        threshold = self.divergence_threshold(config, capacity, jitter_dex)
         diverges = step > threshold
 
         # Quadratic (in decades) solver penalty around the optimum.
@@ -318,5 +365,5 @@ class ErrorSurface:
             effective_step=step,
             step_optimum=opt,
             tau_epochs=float(tau),
-            capacity=self.capacity(config),
+            capacity=capacity,
         )

@@ -132,6 +132,7 @@ class TrainingSimulator:
         stop_callback: StopCallback | None = None,
         start_epoch: int = 0,
         schedule_epochs: int | None = None,
+        network: NetworkSpec | None = None,
     ) -> TrainingResult:
         """Run one training job (or one resumable segment of it).
 
@@ -160,6 +161,9 @@ class TrainingSimulator:
             and slices its window, so resuming at epoch ``k`` reproduces
             the uninterrupted run's tail bit-exactly (the curve model's
             seed-pure prefix property).
+        network:
+            ``config``'s built network, when the caller has it (built
+            here otherwise); the surface and the epoch cost share it.
         """
         if epochs is None:
             epochs = self.dataset.default_epochs
@@ -174,8 +178,9 @@ class TrainingSimulator:
                 f"start_epoch must be in [0, {epochs}), got {start_epoch}"
             )
 
-        network = build_network(self.dataset.name, config)
-        evaluation = self.surface.evaluate(config)
+        if network is None:
+            network = build_network(self.dataset.name, config)
+        evaluation = self.surface.evaluate(config, network)
         full_curve = self.curve_model.curve(evaluation, schedule_epochs, rng)
         epoch_time = self.epoch_time_s(network)
 

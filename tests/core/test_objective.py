@@ -8,6 +8,8 @@ from repro.core.constraints import ConstraintSpec
 from repro.core.objective import NNObjective
 from repro.hwsim.devices import GTX_1070, TEGRA_TX1
 from repro.hwsim.profiler import HardwareProfiler
+from repro.nn.metrics import NetworkProfile
+from repro.nn.network import NetworkSpec
 from repro.trainsim.dataset import MNIST
 from repro.trainsim.surface import ErrorSurface
 from repro.trainsim.trainer import TrainingSimulator
@@ -95,3 +97,50 @@ class TestEvaluate:
         objective = make_objective()
         assert objective.dataset_name == "mnist"
         assert objective.device_name == "GTX 1070"
+
+
+
+@pytest.fixture
+def count_work(monkeypatch):
+    """Run a thunk; count the networks, profiles and hardware profilers
+    it constructs."""
+    counts = dict.fromkeys(("builds", "profiles", "profilers"), 0)
+    for cls, key in (
+        (NetworkSpec, "builds"),
+        (NetworkProfile, "profiles"),
+        (HardwareProfiler, "profilers"),
+    ):
+
+        def init(self, *args, _key=key, _original=cls.__init__, **kwargs):
+            counts[_key] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    def count(thunk):
+        counts.update(dict.fromkeys(counts, 0))
+        thunk()
+        return dict(counts)
+
+    return count
+
+
+class TestWorkDoneOnce:
+    """One evaluation builds its network once and profiles it once."""
+
+    def test_evaluate_seeded_rung0(self, count_work):
+        objective = make_objective()
+        counts = count_work(lambda: objective.evaluate_seeded(config(), seed=3))
+        assert counts == {"builds": 1, "profiles": 1, "profilers": 1}
+
+    def test_continuation_builds_no_profiler(self, count_work):
+        objective = make_objective()
+        counts = count_work(
+            lambda: objective.evaluate_seeded(config(), seed=3, start_epoch=10)
+        )
+        assert counts == {"builds": 1, "profiles": 1, "profilers": 0}
+
+    def test_sequential_evaluate(self, count_work):
+        objective = make_objective()
+        counts = count_work(lambda: objective.evaluate(config()))
+        assert counts == {"builds": 1, "profiles": 1, "profilers": 0}

@@ -4,6 +4,8 @@ import pytest
 
 from repro.nn.layers import Conv2D, Dense, Flatten, Pooling, ReLU, Softmax
 from repro.nn.metrics import (
+    LayerProfile,
+    NetworkProfile,
     activation_bytes,
     memory_traffic_bytes,
     peak_activation_bytes,
@@ -80,3 +82,39 @@ class TestProfile:
             )
 
         assert total_flops(build(64)) > total_flops(build(16))
+
+
+class TestKeptProfile:
+    """A spec computes its profile and fingerprint once and keeps them."""
+
+    def test_kept_profile_equals_a_fresh_one(self, net):
+        kept = profile_network(net)
+        assert profile_network(net) is kept
+        assert net.profile is kept
+        fresh = NetworkProfile(
+            layers=tuple(
+                LayerProfile(
+                    index=index,
+                    kind=type(layer).__name__,
+                    input_shape=in_shape,
+                    output_shape=out_shape,
+                    params=layer.param_count(in_shape),
+                    flops=layer.flops(in_shape),
+                    weight_bytes=layer.weight_bytes(in_shape),
+                    activation_bytes=layer.activation_bytes(in_shape),
+                )
+                for index, (layer, in_shape, out_shape) in enumerate(net.walk())
+            )
+        )
+        assert kept == fresh
+
+    def test_twin_spec_profiles_alike(self, net):
+        twin = NetworkSpec(net.name, net.input_shape, net.layers, net.num_classes)
+        assert twin.profile is not net.profile
+        assert twin.profile == net.profile
+
+    def test_fingerprint_is_stable(self, net):
+        twin = NetworkSpec(net.name, net.input_shape, net.layers, net.num_classes)
+        # A crc32 of the topology: the same value in every process.
+        assert net.fingerprint() == net.fingerprint() == twin.fingerprint()
+        assert net.fingerprint() == 2157102754

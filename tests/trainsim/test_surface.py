@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.space.presets import cifar10_space, mnist_space
-from repro.trainsim.dataset import CIFAR10, MNIST
+from repro.space.presets import cifar10_space, imagenet_space, mnist_space
+from repro.trainsim.dataset import CIFAR10, IMAGENET, MNIST
 from repro.trainsim.surface import ErrorSurface
+
+_BENCHMARKS = {
+    "mnist": (MNIST, mnist_space()),
+    "cifar10": (CIFAR10, cifar10_space()),
+    "imagenet": (IMAGENET, imagenet_space()),
+}
 
 
 @pytest.fixture
@@ -148,3 +156,43 @@ class TestUnknownDataset:
         exotic = replace(MNIST, name="exotic")
         with pytest.raises(ValueError, match="surface parameters"):
             ErrorSurface(exotic)
+
+
+class TestEvaluateSharesComponents:
+    """``evaluate`` computes capacity and jitters once; every field must
+    equal the standalone component computed from the config alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_BENCHMARKS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fields_equal_standalone_components(self, name, seed):
+        dataset, space = _BENCHMARKS[name]
+        surface = ErrorSurface(dataset, seed=2018)
+        config = space.sample(np.random.default_rng(seed))
+        evaluation = surface.evaluate(config)
+        assert evaluation.capacity == surface.capacity(config)
+        assert evaluation.structural_error == surface.structural_error(config)
+        assert evaluation.effective_step == surface.effective_step(config)
+        assert evaluation.step_optimum == surface.step_optimum(config)
+        threshold = surface.divergence_threshold(config)
+        assert evaluation.diverges == (evaluation.effective_step > threshold)
+        assert evaluation.diverges == surface.diverges(config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_BENCHMARKS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_threshold_skips_the_structural_draw(self, name, seed):
+        dataset, space = _BENCHMARKS[name]
+        surface = ErrorSurface(dataset, seed=2018)
+        config = space.sample(np.random.default_rng(seed))
+        rng = surface._config_rng(config)
+        rng.normal()
+        jitter_dex = rng.normal(0.0, surface.params.divergence_jitter_dex)
+        capacity = surface.capacity(config)
+        assert surface.divergence_threshold(config) == (
+            surface.divergence_threshold(config, capacity, jitter_dex)
+        )
