@@ -461,6 +461,7 @@ class HyperPower:
                 pool_outcomes = self.pool.evaluate_batch(
                     [s.config for s in suggestions],
                     early_term=self.early_term,
+                    config_keys=[s.key for s in suggestions],
                 )
                 batch_t0 = clock.now_s
                 clock.advance(
@@ -552,6 +553,7 @@ class HyperPower:
                 epochs=epochs,
                 start_epoch=start_epoch,
                 seed=rt.seed,
+                config_key=rt.suggestion.key,
             )
             running[ticket] = (rt, stage, clock.now_s)
             if not rungs:
@@ -677,6 +679,7 @@ class HyperPower:
                     key = pool.cache.key(
                         rt.suggestion.proposal.config,
                         epochs=fidelity.target_epochs(rt.bracket, 0),
+                        config_key=rt.suggestion.key,
                     )
                     rt.seed = pool.cache.seed_for(key)
                     if rt.seed is None:

@@ -382,10 +382,9 @@ class RandomWalk(_ModelScreeningMixin, SearchMethod):
         if incumbent is None:
             draw_many = lambda n: self.space.sample_many(n, rng)  # noqa: E731
         else:
-            draw_many = lambda n: [  # noqa: E731
-                self.space.neighbor(incumbent, self.sigma, rng)
-                for _ in range(n)
-            ]
+            draw_many = lambda n: self.space.neighbors(  # noqa: E731
+                incumbent, self.sigma, n, rng
+            )
         config, rejected, power, memory, feasible = self._screen(
             draw_many, self.checker, _pending_keys(pending)
         )
@@ -700,8 +699,7 @@ class BayesianOptimizer(SearchMethod):
         incumbent = state.best_feasible() or state.best_any()
         if incumbent is not None:
             pool.extend(
-                self.space.neighbor(incumbent[0], self.local_sigma, rng)
-                for _ in range(self.n_local)
+                self.space.neighbors(incumbent[0], self.local_sigma, self.n_local, rng)
             )
         return pool
 

@@ -127,14 +127,22 @@ class TrialCache:
         return 0.0 if self.lookups == 0 else self.hits / self.lookups
 
     @staticmethod
-    def key(config: Mapping, epochs: int | None = None) -> str:
+    def key(
+        config: Mapping,
+        epochs: int | None = None,
+        *,
+        config_key: str | None = None,
+    ) -> str:
         """The canonical hash this cache keys on.
 
         ``epochs`` tags the key with a fidelity (the cumulative epoch
         budget a rung segment trained to), so partial results never
         masquerade as full-schedule outcomes — or vice versa.
+        ``config_key`` is ``canonical_config_key(config)`` when the caller
+        already holds it (a :class:`~repro.core.study.Suggestion`'s
+        ``key``), so the configuration is not hashed again.
         """
-        base = canonical_config_key(config)
+        base = canonical_config_key(config) if config_key is None else config_key
         return base if epochs is None else f"{base}#e{int(epochs)}"
 
     def get(self, key: str) -> EvaluationOutcome | None:
@@ -545,7 +553,10 @@ class EvaluationPool:
         return seed
 
     def evaluate_batch(
-        self, configs: Sequence[Mapping], early_term: bool = False
+        self,
+        configs: Sequence[Mapping],
+        early_term: bool = False,
+        config_keys: Sequence[str] | None = None,
     ) -> list[PoolOutcome]:
         """Evaluate a round of accepted proposals; results in input order.
 
@@ -559,13 +570,16 @@ class EvaluationPool:
         rounds of ``workers`` slots.
 
         Each round counts its dispatch waves: wave ``k`` holds the fresh
-        slots still running their ``k``-th attempt.
+        slots still running their ``k``-th attempt.  ``config_keys`` are
+        the configs' canonical hashes, when the caller holds them.
         """
         outcomes: list[PoolOutcome] = []
+        if config_keys is None:
+            config_keys = [None] * len(configs)
         for start in range(0, len(configs), self.workers):
             chunk = configs[start : start + self.workers]
-            for config in chunk:
-                self.submit(config, 0.0, early_term)
+            for config, config_key in zip(chunk, config_keys[start:]):
+                self.submit(config, 0.0, early_term, config_key=config_key)
             completions = sorted(
                 (self.next_completion() for _ in chunk),
                 key=lambda c: c.ticket,
@@ -695,6 +709,7 @@ class EvaluationPool:
         epochs: int | None = None,
         start_epoch: int = 0,
         seed: int | None = None,
+        config_key: str | None = None,
     ) -> int:
         """Dispatch one trial segment onto a worker slot at ``now_s``.
 
@@ -726,6 +741,9 @@ class EvaluationPool:
         the recorded result instead of re-executing.  The lookup is by
         ``(trial seed, start_epoch)``, not position: completions journal
         out of submission order, and a trial appears once per segment.
+
+        ``config_key``, the config's canonical hash when the caller holds
+        it, spares :meth:`TrialCache.key` hashing the config again.
         """
         if self.n_inflight >= self.workers:
             raise RuntimeError(
@@ -740,7 +758,7 @@ class EvaluationPool:
         self._ticket += 1
         key = None
         if self.cache is not None and start_epoch == 0:
-            key = self.cache.key(config, epochs=epochs)
+            key = self.cache.key(config, epochs=epochs, config_key=config_key)
             origin = self._inflight_by_key.get(key)
             if origin is not None:
                 # Duplicate of an in-flight segment: wait for it, then share.

@@ -34,7 +34,7 @@ import logging
 from contextlib import nullcontext
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .kernels import Kernel, Matern52
 from .normalize import Standardizer
@@ -250,6 +250,10 @@ class _GPCore:
             objective, jac = self._nlml_value_and_grad, True
         else:
             objective, jac = self._nlml_value, None
+
+        # Imported here: scipy.optimize adds ~17 MB to every process that
+        # loads it, and the model-free solvers never fit a GP.
+        from scipy import optimize
 
         best_packed = None
         best_value = np.inf

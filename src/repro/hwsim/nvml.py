@@ -21,7 +21,7 @@ import numpy as np
 from ..nn.network import NetworkSpec
 from .device import DeviceModel
 from .memory import inference_memory
-from .power import inference_power
+from .power import InferenceTiming, inference_power
 
 __all__ = ["UnsupportedQueryError", "PowerTrace", "PowerMeter"]
 
@@ -121,9 +121,13 @@ class PowerMeter:
         batch: int | None = None,
         duration_s: float = 5.0,
         sample_hz: float = 10.0,
+        timing: InferenceTiming | None = None,
     ) -> PowerTrace:
-        """Run inference on ``network`` and sample board power."""
-        true_power = inference_power(network, self.device, batch)
+        """Run inference on ``network`` and sample board power.
+
+        ``timing`` is the batch's roofline timing, when already computed.
+        """
+        true_power = inference_power(network, self.device, batch, timing)
         return self.sample_power(true_power, duration_s, sample_hz)
 
     # -- memory ---------------------------------------------------------------

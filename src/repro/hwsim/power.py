@@ -185,14 +185,17 @@ def inference_power(
     network: NetworkSpec,
     device: DeviceModel,
     batch: int | None = None,
+    timing: InferenceTiming | None = None,
 ) -> float:
     """True (noise-free) board power of ``network`` inferring on ``device``, W.
 
     ``P = idle + range * tanh((e_f * FLOP/s + e_b * B/s) / range)`` — linear
     in the achieved rates for moderate loads, softly saturating at the board
-    power limit for loads that would exceed it.
+    power limit for loads that would exceed it.  ``timing`` is this batch's
+    :func:`inference_timing`, when the caller already has it.
     """
-    timing = inference_timing(network, device, batch)
+    if timing is None:
+        timing = inference_timing(network, device, batch)
     dynamic = (
         device.energy_per_flop * timing.achieved_flops_rate
         + device.energy_per_byte * timing.achieved_byte_rate

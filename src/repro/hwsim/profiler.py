@@ -19,7 +19,13 @@ from ..nn.network import NetworkSpec
 from .device import DeviceModel
 from .memory import inference_memory
 from .nvml import PowerMeter, PowerTrace
-from .power import LayerTiming, inference_latency, inference_power, layer_timings
+from .power import (
+    InferenceTiming,
+    LayerTiming,
+    inference_power,
+    inference_timing,
+    layer_timings,
+)
 
 __all__ = ["HardwareMeasurement", "HardwareProfiler"]
 
@@ -74,14 +80,15 @@ class HardwareProfiler:
 
     def profile(self, network: NetworkSpec) -> HardwareMeasurement:
         """Deploy ``network``, sample power, time a batch, query memory."""
+        timing = inference_timing(network, self.device, self.batch)
         trace = self._meter.measure_power(
-            network, self.batch, self.duration_s, self.sample_hz
+            network, self.batch, self.duration_s, self.sample_hz, timing
         )
         if self.device.supports_memory_query:
             memory = self._meter.query_memory(network, self.batch)
         else:
             memory = None
-        latency = self.measure_latency(network)
+        latency = self.measure_latency(timing)
         return HardwareMeasurement(
             device_name=self.device.name,
             power_w=trace.mean_w,
@@ -91,9 +98,12 @@ class HardwareProfiler:
             power_trace=trace,
         )
 
-    def measure_latency(self, network: NetworkSpec) -> float:
-        """Timed batch inference, s (averaged-run timer jitter included)."""
-        true_latency = inference_latency(network, self.device, self.batch)
+    def measure_latency(self, timing: InferenceTiming) -> float:
+        """Timed batch inference, s (averaged-run timer jitter included).
+
+        ``timing`` is the batch's :func:`inference_timing` on this device.
+        """
+        true_latency = timing.total_s
         jitter = 1.0 + self._rng_for_timers().normal(0.0, 0.01)
         return float(max(0.0, true_latency * jitter))
 

@@ -19,7 +19,6 @@ documented extensions used by the ablation benches:
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["LinearModel"]
 
@@ -59,6 +58,10 @@ class LinearModel:
                 f"{design.shape[1]} coefficients"
             )
         if self.nonnegative:
+            # Imported here: scipy.optimize adds ~17 MB to every process
+            # that loads it, and only the NNLS ablation needs it.
+            from scipy import optimize
+
             coef, _ = optimize.nnls(design, y)
         else:
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -15,16 +15,149 @@ framework needs:
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 
 import numpy as np
 
-from .params import Parameter, param_from_dict
+from .params import ContinuousParameter, IntegerParameter, Parameter, param_from_dict
 
 __all__ = ["SearchSpace", "Configuration"]
 
 #: A configuration is a plain mapping from parameter name to native value.
 Configuration = dict
+
+#: Smallest ``n`` that :meth:`SearchSpace.sample_many` draws as arrays.  The
+#: array path costs 22-50 us per call at small ``n``; the scalar loop
+#: 13-29 us per draw on the mnist space and 40-48 us on cifar10/imagenet
+#: (2-core x86-64 host), so arrays win on every preset from 3 draws on.
+_ARRAY_MIN_DRAWS = 3
+
+
+@lru_cache(maxsize=32)
+def _word_layout(kinds: tuple[bool, ...], n: int, buffered: bool):
+    """Where ``n`` scalar draws of a space read numpy's ``PCG64`` stream.
+
+    ``kinds[j]`` is true for an integer axis and false for a continuous
+    one.  ``Generator.integers`` over a range below 2**32 takes one 32-bit
+    half of a 64-bit word: a fresh word's low half, whose high half is kept
+    for the next such call (``has_uint32``/``uinteger`` in the state).
+    ``Generator.uniform`` takes a fresh 64-bit word and leaves that buffer
+    alone.  Word 0 stands for the incoming buffered half (``buffered``),
+    held in its high half; word ``w >= 1`` is the ``w``-th raw word.
+
+    Returns ``(n_words, int_half, float_word, last_half)``: the number of
+    raw words consumed, the ``(n, k_int)`` index of every integer draw's
+    half in the words' little-endian ``uint32`` view, the ``(n, k_float)``
+    word of every continuous draw, and the half left buffered afterwards.
+    Keyed by the kinds pattern, not the space, so the cache stays small.
+    """
+    is_int = np.tile(np.array(kinds, dtype=bool), n)
+    ordinal = np.cumsum(is_int) - is_int
+    fresh = ~is_int | ((ordinal + buffered) % 2 == 0)
+    word = np.cumsum(fresh)
+    int_word, int_fresh = word[is_int], fresh[is_int]
+    # A buffered draw reads the high half of the previous integer draw's
+    # word (word 0, the incoming buffer, for the first one).
+    previous = np.concatenate(([0], int_word[:-1]))
+    int_half = np.where(int_fresh, 2 * int_word, 2 * previous + 1)
+    taken = int_word[int_fresh]
+    k_int = sum(kinds)
+    float_word = word[~is_int]
+    # Cached and shared by every caller: read-only.
+    int_half.setflags(write=False)
+    float_word.setflags(write=False)
+    return (
+        int(word[-1]),
+        int_half.reshape(n, k_int),
+        float_word.reshape(n, len(kinds) - k_int),
+        2 * int(taken[-1]) + 1 if taken.size else 1,
+    )
+
+
+class _ArrayDraw:
+    """``n`` scalar draws of a space, computed from one ``random_raw`` call.
+
+    Reproduces ``[space.sample(rng) for _ in range(n)]`` bit for bit on a
+    ``PCG64`` generator: the same values, the same Python types and the
+    same generator state afterwards.  ``integers`` uses Lemire's
+    multiply-shift, ``low + (u32 * r >> 32)``, and redraws when
+    ``u32 * r mod 2**32 < (2**32 - r) mod r``; a redraw shifts every later
+    word, so :meth:`draw` returns ``None`` (state untouched) and the caller
+    runs the scalar loop.  ``uniform`` is ``lo + (hi - lo) * (w >> 11) *
+    2**-53``, elementwise the same two roundings as numpy's C code; log
+    axes then take ``math.exp`` per value, since ``np.exp`` may differ in
+    the last bit.
+    """
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.kinds = tuple(type(p) is IntegerParameter for p in params)
+        self.k_int = sum(self.kinds)
+        ints = [p for p in params if type(p) is IntegerParameter]
+        floats = [p for p in params if type(p) is ContinuousParameter]
+        ranges = [p.n_values for p in ints]
+        self.r = np.array(ranges, dtype=np.uint64)
+        self.threshold = np.array([2**32 % r for r in ranges], dtype=np.uint32)
+        self.low = np.array([p.low for p in ints], dtype=np.int64)
+        bounds = [(p._fwd(p.low), p._fwd(p.high)) for p in floats]
+        self.lo = np.array([lo for lo, _ in bounds], dtype=float)
+        # ``scale * ((w >> 11) * 2**-53)`` and ``(scale * 2**-53) * (w >> 11)``
+        # round the same product once: ``supports`` checks that the scaling
+        # by a power of two is exact.
+        self.scale_53 = np.array([(hi - lo) * 2.0**-53 for lo, hi in bounds])
+        self.log = [p.log for p in floats]
+        self.names = [p.name for p in params]
+
+    @staticmethod
+    def supports(params: Sequence[Parameter]) -> bool:
+        """Whether every axis draws exactly as :meth:`draw` assumes."""
+        if sys.byteorder != "little":
+            return False
+        for p in params:
+            if type(p) is IntegerParameter:
+                # One Lemire half: 2 <= r < 2**32 (r = 1 draws nothing,
+                # r = 2**32 takes the half raw), and int64-safe bounds.
+                if not (2 <= p.n_values < 2**32 and -(2**63) <= p.low
+                        and p.high < 2**63 - 1):
+                    return False
+            elif type(p) is ContinuousParameter:
+                scale = p._fwd(p.high) - p._fwd(p.low)
+                if not (math.isfinite(scale) and scale * 2.0**-53 * 2.0**53 == scale):
+                    return False
+            else:
+                return False
+        return True
+
+    def draw(self, n: int, bitgen: np.random.PCG64) -> list[Configuration] | None:
+        """``n`` configurations, or ``None`` after a Lemire redraw."""
+        before = bitgen.state
+        n_words, int_half, float_word, last = _word_layout(
+            self.kinds, n, bool(before["has_uint32"])
+        )
+        words = np.empty(n_words + 1, dtype=np.uint64)
+        words[0] = before["uinteger"] << 32
+        words[1:] = bitgen.random_raw(n_words)
+        halves = words.view(np.uint32)
+        product = (halves[int_half] * self.r).view(np.uint32).reshape(n, self.k_int, 2)
+        if np.count_nonzero(product[..., 0] < self.threshold):
+            bitgen.state = before
+            return None
+        ints = (product[..., 1] + self.low).T.tolist()
+        unit = (words[float_word] >> 11).astype(float)
+        floats = (self.lo + self.scale_53 * unit).T.tolist()
+        after = bitgen.state
+        after["has_uint32"] = (n * self.k_int + before["has_uint32"]) % 2
+        after["uinteger"] = int(halves[last])
+        bitgen.state = after
+        floats = [
+            list(map(math.exp, col)) if log else col
+            for col, log in zip(floats, self.log)
+        ]
+        ints, floats = iter(ints), iter(floats)
+        columns = [next(ints) if is_int else next(floats) for is_int in self.kinds]
+        return [dict(zip(self.names, row)) for row in zip(*columns)]
 
 
 class SearchSpace:
@@ -38,6 +171,19 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names}")
         self._by_name = {p.name: p for p in self._params}
+        self._array_draw = (
+            _ArrayDraw(self._params) if _ArrayDraw.supports(self._params) else None
+        )
+
+    def __getstate__(self) -> dict:
+        # The array draw is derived from the parameters: pickles (study
+        # snapshots) leave it out and keep the layout older ones have.
+        state = self.__dict__.copy()
+        del state["_array_draw"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["_params"])
 
     # -- basic introspection -------------------------------------------------
 
@@ -135,7 +281,22 @@ class SearchSpace:
         return {p.name: p.sample(rng) for p in self._params}
 
     def sample_many(self, n: int, rng: np.random.Generator) -> list[Configuration]:
-        """Draw ``n`` independent uniform configurations."""
+        """Draw ``n`` independent uniform configurations.
+
+        Always equal to ``[self.sample(rng) for _ in range(n)]``, generator
+        state afterwards included.  On numpy's ``PCG64`` the draws are
+        computed as arrays (``_ArrayDraw``); other bit generators, other
+        parameter types, small ``n`` and Lemire redraws run that loop.
+        """
+        if (
+            n >= _ARRAY_MIN_DRAWS
+            and self._array_draw is not None
+            and type(rng) is np.random.Generator
+            and type(rng.bit_generator) is np.random.PCG64
+        ):
+            configs = self._array_draw.draw(n, rng.bit_generator)
+            if configs is not None:
+                return configs
         return [self.sample(rng) for _ in range(n)]
 
     def sample_lhs(self, n: int, rng: np.random.Generator) -> list[Configuration]:
@@ -222,20 +383,32 @@ class SearchSpace:
 
     # -- random-walk neighbourhood (Section 3.5, Rand-Walk) -------------------
 
+    def neighbors(
+        self,
+        config: Mapping,
+        sigma: float,
+        n: int,
+        rng: np.random.Generator,
+    ) -> list[Configuration]:
+        """Draw ``n`` points ``x' ~ N(x, sigma^2 I)`` in unit-cube coordinates.
+
+        This implements the Rand-Walk proposal: a Gaussian "neighbourhood"
+        around the incumbent ``x+`` whose size is controlled by ``sigma``
+        (the paper's ``sigma_0``).  The incumbent is encoded once and the
+        ``(n, d)`` normal draws come from one call, which consumes the
+        stream exactly as ``n`` calls of ``size=d`` would.
+        """
+        if sigma < 0:
+            raise ValueError("sigma must be non-negative")
+        center = self.encode(config)
+        steps = rng.normal(0.0, sigma, size=(n, self.dimension))
+        return [self.decode(row) for row in center + steps]
+
     def neighbor(
         self,
         config: Mapping,
         sigma: float,
         rng: np.random.Generator,
     ) -> Configuration:
-        """Draw ``x' ~ N(x, sigma^2 I)`` in unit-cube coordinates and decode.
-
-        This implements the Rand-Walk proposal: a Gaussian "neighbourhood"
-        around the incumbent ``x+`` whose size is controlled by ``sigma``
-        (the paper's ``sigma_0``).
-        """
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        center = self.encode(config)
-        proposal = center + rng.normal(0.0, sigma, size=self.dimension)
-        return self.decode(proposal)
+        """One :meth:`neighbors` draw."""
+        return self.neighbors(config, sigma, 1, rng)[0]

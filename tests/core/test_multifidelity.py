@@ -211,6 +211,40 @@ class TestDeterminism:
         assert seed == retry_seed(rung.outcome.seed, 0)
 
 
+class TestHashedOnce:
+    @pytest.mark.parametrize("scheduler", ["async", "sync"])
+    def test_one_config_hash_per_suggestion(self, setup, monkeypatch, scheduler):
+        """The pool keys its cache on ``Suggestion.key``; it never re-hashes."""
+        from repro.core import parallel, study
+
+        calls = {"study": 0, "parallel": 0}
+        suggested = []
+        original_hash = parallel.canonical_config_key
+        original_suggest = study.Study.suggest
+
+        def counting(where):
+            def count(config):
+                calls[where] += 1
+                return original_hash(config)
+
+            return count
+
+        def suggest(self, *args, **kwargs):
+            out = original_suggest(self, *args, **kwargs)
+            suggested.extend(out)
+            return out
+
+        monkeypatch.setattr(study, "canonical_config_key", counting("study"))
+        monkeypatch.setattr(parallel, "canonical_config_key", counting("parallel"))
+        monkeypatch.setattr(study.Study, "suggest", suggest)
+        kw = dict(RUN_KW, scheduler=scheduler, backend="serial")
+        if scheduler == "sync":
+            kw.pop("rungs"), kw.pop("eta")
+        result = setup.run("Rand", "hyperpower", max_evaluations=12, **kw)
+        assert result.n_trained > 0 and suggested
+        assert calls == {"study": len(suggested), "parallel": 0}
+
+
 # -- crash safety ------------------------------------------------------------------
 
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.hwsim import power as power_module
+from repro.hwsim import profiler as profiler_module
 from repro.hwsim.devices import GTX_1070, TEGRA_TX1
 from repro.hwsim.memory import inference_memory
-from repro.hwsim.power import inference_power
+from repro.hwsim.nvml import PowerMeter
+from repro.hwsim.power import inference_latency, inference_power
 from repro.hwsim.profiler import HardwareProfiler
 from repro.nn.builder import build_mnist_network
 
@@ -68,3 +71,43 @@ class TestProfile:
         b = HardwareProfiler(GTX_1070, np.random.default_rng(9)).profile(net)
         assert a.power_w == b.power_w
         assert a.memory_bytes == b.memory_bytes
+
+
+class TestTimingComputedOnce:
+    """``profile`` computes the roofline timing once and shares it."""
+
+    def test_one_inference_timing_per_profile(self, net, monkeypatch):
+        calls = []
+        original = power_module.inference_timing
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(power_module, "inference_timing", counting)
+        monkeypatch.setattr(
+            profiler_module, "inference_timing", counting, raising=False
+        )
+        HardwareProfiler(GTX_1070, np.random.default_rng(0)).profile(net)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("device", [GTX_1070, TEGRA_TX1])
+    def test_shared_timing_is_bit_identical(self, net, device):
+        """Same values as timing power and latency separately."""
+        m = HardwareProfiler(device, np.random.default_rng(11)).profile(net)
+        rng = np.random.default_rng(11)
+        meter = PowerMeter(device, rng)
+        batch = device.profile_batch
+        trace = meter.sample_power(inference_power(net, device, batch), 5.0, 10.0)
+        memory = (
+            meter.query_memory(net, batch)
+            if device.supports_memory_query
+            else None
+        )
+        latency = inference_latency(net, device, batch) * (
+            1.0 + rng.normal(0.0, 0.01)
+        )
+        assert m.power_w == trace.mean_w
+        assert np.array_equal(m.power_trace.samples_w, trace.samples_w)
+        assert m.memory_bytes == memory
+        assert m.latency_s == float(max(0.0, latency))

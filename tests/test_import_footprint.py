@@ -1,10 +1,13 @@
-"""The program's entry points must not import ``scipy.stats``.
+"""The program's entry points must not import ``scipy.stats`` or
+``scipy.optimize``.
 
 ``scipy.stats`` roughly doubles the set-up import time and adds ~20 MB
 to every process that loads it, yet the program only ever needed the
 standard normal cdf and pdf (``scipy.special.ndtr`` and one numpy
-expression).  The check runs in a fresh interpreter so that modules the
-test session itself loaded cannot mask an import.
+expression).  ``scipy.optimize`` adds ~17 MB more and is needed only
+when a GP fits its hyper-parameters or the NNLS ablation runs, so it is
+imported there, on first use.  The checks run in a fresh interpreter so
+that modules the test session itself loaded cannot mask an import.
 """
 
 import subprocess
@@ -32,3 +35,14 @@ def test_entry_points_do_not_import_scipy_stats():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]", f"scipy.stats modules loaded: {out.strip()}"
+
+
+OPTIMIZE_PROBE = PROBE.replace("['scipy', 'stats']", "['scipy', 'optimize']")
+
+
+def test_entry_points_do_not_import_scipy_optimize():
+    out = subprocess.run(
+        [sys.executable, "-c", OPTIMIZE_PROBE.format(src=SRC_DIR)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]", f"scipy.optimize modules loaded: {out.strip()}"
