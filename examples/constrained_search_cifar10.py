@@ -3,18 +3,13 @@
 The paper's headline scenario (Section 5, CIFAR-10 on the GTX 1070 with
 90 W and 1.25 GB budgets): run constraint-unaware random search and
 HyperPower's HW-IECI side by side under the same wall-clock budget and
-watch where the time goes.
+count how many candidates each one gets through.
 
 Run:  python examples/constrained_search_cifar10.py
 """
 
 from repro.core.result import TrialStatus
-from repro.experiments import (
-    format_breakdown,
-    format_front,
-    paper_setup,
-    pareto_front,
-)
+from repro.experiments import paper_setup
 
 setup, pair = paper_setup("cifar10-gtx1070", seed=0, profiling_samples=80)
 budget_s = pair.time_budget_s * 0.3  # 1.5 simulated hours for the demo
@@ -57,11 +52,3 @@ print(
     f"\nHyperPower queried {hyper.n_samples / max(1, default.n_samples):.1f}x "
     "more samples in the same budget (Table 4's effect)"
 )
-
-print()
-print(format_breakdown(results))
-
-front = pareto_front(list(results.values()))
-print()
-print(format_front(front))
-print("(the error-power menu all three runs discovered, combined)")

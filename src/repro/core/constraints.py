@@ -221,32 +221,6 @@ class ModelConstraintChecker:
             raise RuntimeError("batch screening needs at least one model")
         return space.structural_matrix(configs, validate=validate)
 
-    def predictions_batch(
-        self, configs: Sequence[Mapping], validate: bool = True
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Vectorised :meth:`predictions` over a candidate set.
-
-        Returns ``(power_w, memory_bytes)`` arrays of length ``len(configs)``
-        (``None`` where the corresponding model is absent).  The structural
-        matrix is extracted once and each model evaluated in a single
-        NumPy call — this is what makes constraint checks "~free" at batch
-        scale, per the paper's economics.
-        """
-        if self.space is None:
-            return None, None
-        Z = self._structural_batch(configs, validate)
-        power = (
-            self.power_model.predict_batch(Z)
-            if self.power_model is not None
-            else None
-        )
-        memory = (
-            self.memory_model.predict_batch(Z)
-            if self.memory_model is not None
-            else None
-        )
-        return power, memory
-
     def screen_batch(
         self, configs: Sequence[Mapping], validate: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:

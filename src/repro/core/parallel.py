@@ -154,10 +154,6 @@ class TrialCache:
             self.hits += 1
         return outcome
 
-    def lookup(self, config: Mapping) -> EvaluationOutcome | None:
-        """Look a configuration up, counting the hit or miss."""
-        return self.get(self.key(config))
-
     def put(self, key: str, outcome: EvaluationOutcome) -> None:
         """Store an outcome, evicting the oldest entry when full (FIFO).
 
@@ -183,10 +179,6 @@ class TrialCache:
                 self._store.pop(evicted)
                 self._seeds.pop(evicted, None)
         self._store[key] = outcome
-
-    def store(self, config: Mapping, outcome: EvaluationOutcome) -> None:
-        """Store a configuration's outcome."""
-        self.put(self.key(config), outcome)
 
     def note_seed(self, key: str, seed: int) -> None:
         """Record the effective curve seed a cached outcome ran under.

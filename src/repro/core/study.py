@@ -291,10 +291,6 @@ class Study:
         """The pending suggestions, in issue order."""
         return tuple(self._pending.values())
 
-    def pending_configs(self) -> list[dict]:
-        """Configurations of the pending suggestions, in issue order."""
-        return [dict(s.config) for s in self._pending.values()]
-
     def get_pending(self, ticket: int) -> Suggestion:
         """Look up a pending suggestion by ticket (KeyError if resolved)."""
         return self._pending[ticket]

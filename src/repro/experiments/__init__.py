@@ -26,10 +26,7 @@ from .motivating import (
     run_figure3,
     run_intro_comparison,
 )
-from .breakdown import TimeBreakdown, format_breakdown, time_breakdown
-from .pareto import ParetoPoint, format_front, hypervolume_2d, pareto_front
 from .reporting import geometric_mean, render_table
-from .sensitivity import ParameterSensitivity, format_sensitivity, sensitivity_report
 from .setup import (
     PAPER_PAIRS,
     ExperimentSetup,
@@ -70,15 +67,5 @@ __all__ = [
     "Headlines",
     "compute_headlines",
     "format_headlines",
-    "ParameterSensitivity",
-    "sensitivity_report",
-    "format_sensitivity",
-    "ParetoPoint",
-    "pareto_front",
-    "hypervolume_2d",
-    "format_front",
-    "TimeBreakdown",
-    "time_breakdown",
-    "format_breakdown",
     "render_table",
 ]

@@ -78,11 +78,6 @@ class SurrogateProfile:
             )
             self.tier = tier
 
-    def total_seconds(self) -> float:
-        """Seconds across all stages (``hyperopt`` overlaps its inner
-        kernel/Cholesky work, so this over-counts nested stages)."""
-        return sum(self.seconds.values())
-
     def as_dict(self) -> dict:
         """JSON-ready view of stages, op counts and tier history.
 

@@ -11,14 +11,11 @@ from .memory import (
 from .nvml import PowerMeter, PowerTrace, UnsupportedQueryError
 from .power import (
     InferenceTiming,
-    LayerTiming,
     inference_latency,
     inference_power,
     inference_timing,
-    layer_timings,
 )
 from .profiler import HardwareMeasurement, HardwareProfiler
-from .variations import aged_device, sample_process_variation, thermal_derating
 
 __all__ = [
     "DeviceModel",
@@ -30,8 +27,6 @@ __all__ = [
     "inference_latency",
     "inference_timing",
     "InferenceTiming",
-    "LayerTiming",
-    "layer_timings",
     "inference_memory",
     "weights_bytes",
     "activation_blob_bytes",
@@ -41,7 +36,4 @@ __all__ = [
     "UnsupportedQueryError",
     "HardwareProfiler",
     "HardwareMeasurement",
-    "sample_process_variation",
-    "thermal_derating",
-    "aged_device",
 ]

@@ -34,9 +34,7 @@ from .device import DeviceModel
 
 __all__ = [
     "InferenceTiming",
-    "LayerTiming",
     "inference_timing",
-    "layer_timings",
     "inference_power",
     "inference_latency",
 ]
@@ -68,38 +66,6 @@ class InferenceTiming:
     def achieved_byte_rate(self) -> float:
         """Achieved DRAM rate over the whole batch, bytes/s."""
         return self.bytes_moved / self.total_s
-
-
-@dataclass(frozen=True)
-class LayerTiming:
-    """Per-layer execution record for one inference batch.
-
-    This is the granularity profilers like ``nvprof`` report and the
-    layer-wise predictive models of NeuralPower [10] are trained on (the
-    paper cites them as the drop-in refinement of its network-level
-    models).
-    """
-
-    #: Position of the layer in the network.
-    index: int
-    #: Layer class name (``'Conv2D'``, ``'Dense'``, ...).
-    kind: str
-    #: FLOPs executed by this layer for the batch.
-    flops: float
-    #: DRAM bytes moved by this layer for the batch.
-    bytes_moved: float
-    #: Execution time, s (roofline plus launch overhead).
-    time_s: float
-
-    @property
-    def achieved_flops_rate(self) -> float:
-        """This layer's achieved compute rate, FLOP/s."""
-        return self.flops / self.time_s
-
-    @property
-    def achieved_byte_rate(self) -> float:
-        """This layer's achieved DRAM rate, bytes/s."""
-        return self.bytes_moved / self.time_s
 
 
 def _layer_bytes(profile_layer, batch: int) -> float:
@@ -151,34 +117,6 @@ def inference_timing(
         flops=flops,
         bytes_moved=bytes_moved,
     )
-
-
-def layer_timings(
-    network: NetworkSpec,
-    device: DeviceModel,
-    batch: int | None = None,
-) -> list[LayerTiming]:
-    """Per-layer execution records for one inference batch."""
-    if batch is None:
-        batch = device.profile_batch
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    records = []
-    for layer in network.profile.layers:
-        flops = layer.flops * batch
-        moved = _layer_bytes(layer, batch)
-        t_compute = (flops + device.compute_latency_flops) / device.peak_flops
-        t_memory = (moved + device.mem_latency_bytes) / device.mem_bandwidth
-        records.append(
-            LayerTiming(
-                index=layer.index,
-                kind=layer.kind,
-                flops=flops,
-                bytes_moved=moved,
-                time_s=max(t_compute, t_memory) + device.launch_overhead_s,
-            )
-        )
-    return records
 
 
 def inference_power(

@@ -19,13 +19,7 @@ from ..nn.network import NetworkSpec
 from .device import DeviceModel
 from .memory import inference_memory
 from .nvml import PowerMeter, PowerTrace
-from .power import (
-    InferenceTiming,
-    LayerTiming,
-    inference_power,
-    inference_timing,
-    layer_timings,
-)
+from .power import InferenceTiming, inference_power, inference_timing
 
 __all__ = ["HardwareMeasurement", "HardwareProfiler"]
 
@@ -106,27 +100,6 @@ class HardwareProfiler:
         true_latency = timing.total_s
         jitter = 1.0 + self._rng_for_timers().normal(0.0, 0.01)
         return float(max(0.0, true_latency * jitter))
-
-    def profile_layers(self, network: NetworkSpec) -> list[LayerTiming]:
-        """Per-layer runtime profile (nvprof analog), with timer jitter.
-
-        This is the measurement granularity NeuralPower-style layer-wise
-        models (paper ref. [10]) are trained on.
-        """
-        rng = self._rng_for_timers()
-        noisy = []
-        for record in layer_timings(network, self.device, self.batch):
-            jitter = 1.0 + rng.normal(0.0, 0.02)
-            noisy.append(
-                LayerTiming(
-                    index=record.index,
-                    kind=record.kind,
-                    flops=record.flops,
-                    bytes_moved=record.bytes_moved,
-                    time_s=float(max(1e-9, record.time_s * jitter)),
-                )
-            )
-        return noisy
 
     def _rng_for_timers(self) -> np.random.Generator:
         """Timer noise shares the profiler's reproducible stream."""

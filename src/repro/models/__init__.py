@@ -9,20 +9,7 @@ from .hw_models import (
     fit_hardware_models,
     fit_latency_model,
 )
-from .layerwise import (
-    LayerwiseEnergyModel,
-    LayerwiseRuntimeModel,
-    collect_layer_profiles,
-    layer_features,
-)
 from .linear import LinearModel
-from .selection import (
-    DEFAULT_FORMS,
-    CandidateForm,
-    FormSelection,
-    QuadraticFeatureModel,
-    select_model_form,
-)
 from .profiling import ProfilingDataset, run_profiling_campaign
 
 __all__ = [
@@ -40,13 +27,4 @@ __all__ = [
     "fit_hardware_models",
     "LatencyModel",
     "fit_latency_model",
-    "LayerwiseRuntimeModel",
-    "LayerwiseEnergyModel",
-    "collect_layer_profiles",
-    "layer_features",
-    "CandidateForm",
-    "QuadraticFeatureModel",
-    "DEFAULT_FORMS",
-    "FormSelection",
-    "select_model_form",
 ]

@@ -108,10 +108,6 @@ class HardwareModel:
         """Predict from a full configuration (extracts ``z`` internally)."""
         return self.predict_z(self.space.structural_vector(config))
 
-    def predict_many(self, Z: np.ndarray) -> np.ndarray:
-        """Vectorised prediction over an ``(n, J)`` design matrix."""
-        return self._model.predict(Z)
-
     def predict_batch(self, Z: np.ndarray) -> np.ndarray:
         """Batch prediction over an ``(n, J)`` design matrix of structural
         vectors — one NumPy call for a whole candidate set.
@@ -123,11 +119,6 @@ class HardwareModel:
         orders of magnitude below the residual margins screening applies.
         """
         return self._model.predict(Z)
-
-    def predict_configs(self, configs, validate: bool = True) -> np.ndarray:
-        """Batch prediction straight from configuration mappings."""
-        Z = self.space.structural_matrix(configs, validate=validate)
-        return self.predict_batch(Z)
 
     def satisfaction_probability(self, z: np.ndarray, budget: float) -> float:
         """``Pr(quantity(z) <= budget)`` under a Gaussian residual model.

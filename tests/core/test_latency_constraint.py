@@ -50,7 +50,7 @@ class TestLatencyModel:
 
     def test_predictions_track_measurements(self, fitted):
         _, campaign, model = fitted
-        predictions = model.predict_many(campaign.Z)
+        predictions = model.predict_batch(campaign.Z)
         r = np.corrcoef(predictions, campaign.latency_s)[0, 1]
         assert r > 0.9
 

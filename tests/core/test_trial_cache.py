@@ -122,9 +122,9 @@ class TestTrialCacheAccounting:
     def test_miss_then_hit(self):
         cache = TrialCache()
         config = {"a": 1, "b": 2.0}
-        assert cache.lookup(config) is None
-        cache.store(config, _FakeOutcome("x"))
-        hit = cache.lookup({"b": 2.0, "a": 1})  # reordered dict still hits
+        assert cache.get(cache.key(config)) is None
+        cache.put(cache.key(config), _FakeOutcome("x"))
+        hit = cache.get(cache.key({"b": 2.0, "a": 1}))  # reordered dict hits
         assert hit.tag == "x"
         assert cache.hits == 1
         assert cache.misses == 1
@@ -136,8 +136,8 @@ class TestTrialCacheAccounting:
 
     def test_clear_resets_everything(self):
         cache = TrialCache()
-        cache.store({"a": 1}, _FakeOutcome("x"))
-        cache.lookup({"a": 1})
+        cache.put(cache.key({"a": 1}), _FakeOutcome("x"))
+        cache.get(cache.key({"a": 1}))
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 0
@@ -145,10 +145,10 @@ class TestTrialCacheAccounting:
     def test_fifo_eviction_at_max_size(self):
         cache = TrialCache(max_size=2)
         for i in range(3):
-            cache.store({"a": i}, _FakeOutcome(i))
+            cache.put(cache.key({"a": i}), _FakeOutcome(i))
         assert len(cache) == 2
-        assert cache.lookup({"a": 0}) is None  # evicted
-        assert cache.lookup({"a": 2}).tag == 2
+        assert cache.get(cache.key({"a": 0})) is None  # evicted
+        assert cache.get(cache.key({"a": 2})).tag == 2
 
     def test_max_size_validation(self):
         with pytest.raises(ValueError, match="max_size"):
@@ -160,16 +160,16 @@ class TestTrialCacheAccounting:
         cache = TrialCache()
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                cache.store({"a": 1}, _FakeOutcome("x", error=bad))
+                cache.put(cache.key({"a": 1}), _FakeOutcome("x", error=bad))
         assert len(cache) == 0
 
     def test_rejects_degraded_outcomes(self):
         cache = TrialCache()
         with pytest.raises(ValueError, match="degraded"):
-            cache.store({"a": 1}, _FakeOutcome("x", measurement=None))
+            cache.put(cache.key({"a": 1}), _FakeOutcome("x", measurement=None))
         with pytest.raises(ValueError, match="degraded"):
-            cache.store(
-                {"a": 1}, _FakeOutcome("x", measurement_failed=True)
+            cache.put(
+                cache.key({"a": 1}), _FakeOutcome("x", measurement_failed=True)
             )
         assert len(cache) == 0
 

@@ -111,3 +111,16 @@ class TestTimingComputedOnce:
         assert np.array_equal(m.power_trace.samples_w, trace.samples_w)
         assert m.memory_bytes == memory
         assert m.latency_s == float(max(0.0, latency))
+
+
+class TestLatencyMeasurement:
+    def test_profile_includes_latency(self, net):
+        profiler = HardwareProfiler(GTX_1070, np.random.default_rng(1))
+        measurement = profiler.profile(net)
+        truth = inference_latency(net, GTX_1070, profiler.batch)
+        assert measurement.latency_s == pytest.approx(truth, rel=0.1)
+
+    def test_embedded_board_slower(self, net):
+        gtx = HardwareProfiler(GTX_1070, np.random.default_rng(2), batch=32)
+        tx1 = HardwareProfiler(TEGRA_TX1, np.random.default_rng(2), batch=32)
+        assert tx1.profile(net).latency_s > gtx.profile(net).latency_s

@@ -47,7 +47,7 @@ class TestPowerModel:
         space, data = gtx_campaign
         model = PowerModel(space, fit_intercept=True)
         model.fit(data.Z, data.power_w, rng=np.random.default_rng(3))
-        predictions = model.predict_many(data.Z)
+        predictions = model.predict_batch(data.Z)
         correlation = np.corrcoef(predictions, data.power_w)[0, 1]
         assert correlation > 0.9
 

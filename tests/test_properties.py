@@ -218,48 +218,3 @@ class TestPhysicalBounds:
         assert spec.floor_error * 0.9 <= evaluation.final_error
         assert evaluation.final_error <= spec.chance_error
         assert 0.0 <= evaluation.capacity <= 1.0
-
-
-# -- Pareto-front invariants ----------------------------------------------------------
-
-class TestParetoProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.01, 0.9), st.floats(50.0, 150.0)
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_front_is_mutually_non_dominated(self, points):
-        from repro.core.result import RunResult, Trial, TrialStatus
-        from repro.experiments.pareto import pareto_front
-
-        run = RunResult(
-            method="Rand", variant="hyperpower", dataset="mnist",
-            device="GTX 1070",
-        )
-        for index, (error, power) in enumerate(points):
-            run.trials.append(
-                Trial(
-                    index=index,
-                    config={"i": index},
-                    status=TrialStatus.COMPLETED,
-                    timestamp_s=float(index),
-                    cost_s=1.0,
-                    error=error,
-                    power_meas_w=power,
-                    feasible_meas=True,
-                )
-            )
-        front = pareto_front(run)
-        assert front  # never empty given trained points
-        for a in front:
-            assert not any(b.dominates(a) for b in front)
-        # Every candidate is dominated by or equal to something on the front.
-        for error, power in points:
-            assert any(
-                (p.error <= error and p.power_w <= power) for p in front
-            )
