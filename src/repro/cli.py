@@ -135,6 +135,22 @@ def _cmd_run(args) -> None:
     kwargs["surrogate_switch_at"] = args.surrogate_switch_at
     if args.scheduler == "async" and args.backend is None:
         raise SystemExit("--scheduler async requires --backend")
+    pool_flags = [
+        flag
+        for flag, given in (
+            ("--workers", args.workers != 1),
+            ("--no-cache", args.no_cache),
+            ("--warm-cache", args.warm_cache),
+            ("--max-attempts", args.max_attempts != 3),
+            ("--timeout", args.timeout is not None),
+            ("--backoff-base", args.backoff_base != 60.0),
+            ("--backoff-factor", args.backoff_factor != 2.0),
+        )
+        if given
+    ]
+    if args.backend is None and pool_flags:
+        # The sequential loop has no pool: these would be silently ignored.
+        raise SystemExit("pool-only flags need --backend: " + " ".join(pool_flags))
     kwargs["scheduler"] = args.scheduler
     kwargs["fantasy"] = args.fantasy
     if args.rungs < 0:
@@ -184,12 +200,7 @@ def _cmd_run(args) -> None:
             raise SystemExit("fault injection requires --backend")
         kwargs["faults"] = rates
         kwargs["fault_seed"] = args.fault_seed
-    if (
-        args.max_attempts != 3
-        or args.timeout is not None
-        or args.backoff_base != 60.0
-        or args.backoff_factor != 2.0
-    ):
+    if args.backend is not None:
         kwargs["retry"] = RetryPolicy(
             max_attempts=args.max_attempts,
             timeout_s=args.timeout,

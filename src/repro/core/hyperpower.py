@@ -13,13 +13,14 @@ HW-IECI) in either variant:
   constraints from hardware measurements of evaluated points), no early
   termination.
 
-and runs the sequential loop of Figure 2 against the simulated clock,
-recording every queried sample as a :class:`~repro.core.result.Trial`.
+and runs the loop of Figure 2 against the simulated clock, recording
+every queried sample as a :class:`~repro.core.result.Trial`.
 
 The proposing/recording core lives in :class:`~repro.core.study.Study`
-(the open ask/tell API); this module owns the *closed-loop* drivers — the
-synchronous round-barrier scheduler and the event-driven asynchronous
-scheduler — which are thin loops over ``suggest``/``observe``.
+(the open ask/tell API); this module owns the *closed loop*: one event
+loop over ``suggest``/``observe`` whose synchronous scheduler is a round
+barrier (propose a round, drain it, observe it) and whose asynchronous
+scheduler refills each worker the moment its trial completes.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class _TrialChain:
 
 
 class HyperPower:
-    """The sequential optimization driver of Figure 2."""
+    """The optimization driver of Figure 2."""
 
     #: Hard cap on queried samples, protecting against runaway rejection
     #: loops under very tight budgets.
@@ -219,13 +220,12 @@ class HyperPower:
         default off) — used by the ablation benches to isolate the two
         enhancements of Section 3.2.
 
-        ``pool`` switches the driver to the batch-parallel engine: each
-        round proposes up to ``pool.workers`` configurations from the same
-        state, evaluates them through the pool (with deterministic
-        per-trial seeding and optional trial caching) and charges the
-        clock q-parallel wall time — the ``max`` over the concurrent
-        trainings, not their sum.  ``pool=None`` keeps the paper's
-        sequential Figure 2 loop, bit-for-bit.
+        ``pool`` switches the driver to the batch-parallel engine: trials
+        are evaluated through the pool (with deterministic per-trial
+        seeding and optional trial caching), up to ``pool.workers`` at a
+        time, and charge the clock q-parallel wall time — the ``max``
+        over concurrent trainings, not their sum.  ``pool=None`` keeps
+        the paper's sequential Figure 2 loop, bit-for-bit.
 
         ``telemetry`` (a :class:`~repro.telemetry.Telemetry` bundle)
         switches on span tracing and metrics: the driver binds the
@@ -340,13 +340,13 @@ class HyperPower:
             instead of dispatching it.  The sequential path (``pool=None``)
             re-executes every evaluation, re-spending its compute.
         scheduler:
-            ``"sync"`` (the default) runs the round-barrier loop —
+            ``"sync"`` (the default) runs the loop with a round barrier —
             byte-identical to every release before the scheduler existed.
-            ``"async"`` runs the event-driven scheduler: workers are
-            refilled the moment a trial completes, proposals condition on
-            the in-flight set (constant-liar fantasies for the BO
-            solvers), and one journal round is written per completion
-            event.  Requires the pool path.
+            ``"async"`` drops the barrier: workers are refilled the
+            moment a trial completes, proposals condition on the
+            in-flight set (constant-liar fantasies for the BO solvers),
+            and one journal round is written per completion event.
+            Requires the pool path.
         fidelity:
             Optional :class:`~repro.core.fidelity.FidelitySchedule`.  When
             given, trials run rung by rung on the event queue (successive
@@ -393,15 +393,10 @@ class HyperPower:
             device=result.device,
         )
         run_span.__enter__()
-        if scheduler == "async":
-            rounds = self._run_events(
-                study, max_evaluations, max_time_s, journal, fidelity
-            )
-        else:
-            rounds = self._run_sync(
-                study, max_evaluations, max_time_s, journal
-            )
-
+        rounds = self._run_events(
+            study, max_evaluations, max_time_s, journal, fidelity,
+            barrier=scheduler == "sync",
+        )
         run_span.set(rounds=rounds, samples=len(result.trials))
         run_span.__exit__(None, None, None)
         study.finalize()
@@ -416,70 +411,6 @@ class HyperPower:
             journal.finish(result)
         return result
 
-    def _run_sync(
-        self,
-        study: Study,
-        max_evaluations: int | None,
-        max_time_s: float | None,
-        journal,
-    ) -> int:
-        """The round-barrier loop of Figure 2; returns rounds run."""
-        clock = self.objective.clock
-        state = study.state
-        result = study.result
-        round_index = 0
-        while True:
-            if clock.exceeded(max_time_s):
-                break
-            if (
-                max_evaluations is not None
-                and state.n_trained >= max_evaluations
-            ):
-                break
-            if len(state.trials) >= study.max_samples:
-                break
-
-            round_size = 1
-            if self.pool is not None:
-                round_size = self.pool.workers
-                if max_evaluations is not None:
-                    round_size = min(
-                        round_size, max_evaluations - state.n_trained
-                    )
-
-            round_span = self.tracer.span("round", index=round_index)
-            round_span.__enter__()
-            trials_before = len(result.trials)
-            # Historical rounds propose from one frozen state, so the
-            # round's own suggestions must not see each other as pending.
-            suggestions = study.suggest(round_size, batch_aware=False)
-
-            pool_outcomes = None
-            if self.pool is None:
-                study.evaluate_and_observe(suggestions[0])
-            else:
-                pool_outcomes = self.pool.evaluate_batch(
-                    [s.config for s in suggestions],
-                    early_term=self.early_term,
-                    config_keys=[s.key for s in suggestions],
-                )
-                batch_t0 = clock.now_s
-                clock.advance(
-                    self.pool.batch_wall_time_s(
-                        pool_outcomes, self.cost_model.cache_lookup_s
-                    )
-                )
-                study.observe_batch(suggestions, pool_outcomes, batch_t0)
-
-            if journal is not None:
-                journal.append_round(
-                    result.trials[trials_before:], pool_outcomes
-                )
-            round_span.set(trials=len(result.trials) - trials_before)
-            round_span.__exit__(None, None, None)
-            round_index += 1
-        return round_index
-
     def _run_events(
         self,
         study: Study,
@@ -487,35 +418,42 @@ class HyperPower:
         max_time_s: float | None,
         journal,
         fidelity: FidelitySchedule | None,
+        barrier: bool,
     ) -> int:
-        """The event-driven scheduler; returns completion events run.
+        """The one run loop of Figure 2; returns the journal rounds written.
 
-        No round barrier: whenever a worker slot is free (and budget
-        remains) the driver dispatches — a queued promotion first, else a
-        fresh suggestion proposed against the current state *plus* the
-        pending set (constant-liar fantasies for the BO solvers) —
-        otherwise it advances the simulated clock to the earliest
-        in-flight completion and handles that.  With one worker and no
-        rungs the dispatch→complete alternation reproduces the
-        synchronous loop trial for trial.
+        Each pass checks one budget gate (simulated time,
+        ``max_evaluations`` counting in-flight trials, the sample cap).
+        While a worker is free it starts work; otherwise it advances the
+        clock to the earliest in-flight completion and handles that.
+        ``flush_event`` is the only journal write, one record per round
+        or completion event.
 
-        Every logical trial is a chain of *segments*.  Without a
-        ``fidelity`` schedule the chain has one full-fidelity segment and
-        its completion is observed as is.  With one (successive halving
-        / Hyperband), the rung-0 segment trains from scratch to the first
+        With ``barrier`` (the synchronous scheduler) a start is a whole
+        round proposed from one frozen state.  Without a pool its one
+        suggestion trains in-process (the paper's sequential loop); with
+        one, up to ``workers`` suggestions are submitted at one instant
+        and drained, and the clock advances by the round's q-parallel
+        wall time ``n_cached * lookup + max(fresh)``.
+
+        Without ``barrier`` a free worker takes a queued promotion first,
+        else a fresh suggestion proposed against the state *plus* the
+        pending set (constant-liar fantasies for the BO solvers).  With
+        one worker and no rungs this reproduces the synchronous loop
+        trial for trial.
+
+        Every logical trial is a chain of *segments*: one full-fidelity
+        segment without a ``fidelity`` schedule.  With one (successive
+        halving / Hyperband), rung 0 trains from scratch to the first
         rung's epoch budget and each later segment is a seed-pinned
-        continuation that resumes the identical learning curve.  A trial
-        that finishes a non-final rung *pauses* — its suggestion stays
+        continuation of the identical learning curve.  A trial that
+        finishes a non-final rung *pauses* — its suggestion stays
         pending, so BO fantasies lie at the observed partial error —
         until its rung cell fills; then the top ``1/eta`` by observed
         error are queued for promotion and the rest are culled, observed
         as ``CULLED`` trials whose partial errors are real (low-fidelity)
-        observations.  Trials left paused when the run drains (budget
-        exhausted before their cell filled) are culled in a final
-        evaluation-free round.
-
-        Each completion event is journaled as its own round: the trials
-        recorded since the previous event plus the segment evaluation.
+        observations.  Trials still paused when the budget runs out are
+        culled in a final evaluation-free round.
         """
         clock = self.objective.clock
         state = study.state
@@ -534,11 +472,12 @@ class HyperPower:
         busy_s = 0.0
         t0 = clock.now_s
         journal_mark = len(result.trials)
-        span_attrs = {"workers": pool.workers}
-        if rungs:
-            span_attrs.update(rungs=fidelity.num_rungs, eta=fidelity.eta)
-        sched_span = self.tracer.span("schedule", **span_attrs)
-        sched_span.__enter__()
+        if not barrier:
+            span_attrs = {"workers": pool.workers}
+            if rungs:
+                span_attrs.update(rungs=fidelity.num_rungs, eta=fidelity.eta)
+            sched_span = self.tracer.span("schedule", **span_attrs)
+            sched_span.__enter__()
 
         def dispatch(rt: _TrialChain, stage: int) -> None:
             epochs, start_epoch = None, 0
@@ -573,6 +512,44 @@ class HyperPower:
                 )
             journal_mark = len(result.trials)
             event_index += 1
+
+        def run_round() -> None:
+            size = 1 if pool is None else pool.workers
+            if max_evaluations is not None:
+                size = min(size, max_evaluations - state.n_trained)
+            with self.tracer.span("round", index=event_index) as round_span:
+                # A round proposes from one frozen state, so its own
+                # suggestions must not see each other as pending.
+                suggestions = study.suggest(size, batch_aware=False)
+                outcomes = None
+                if pool is None:
+                    study.evaluate_and_observe(suggestions[0])
+                else:
+                    for s in suggestions:
+                        pool.submit(
+                            s.config,
+                            clock.now_s,
+                            self.early_term,
+                            lookup_s,
+                            config_key=s.key,
+                        )
+                    outcomes = pool.drain()
+                    # Fresh trainings (retries and backoff included) run
+                    # concurrently, so they cost their max; cache hits are
+                    # serial probes.  Shared failures (no seed) cost nothing.
+                    fresh = [
+                        po.total_cost_s
+                        for po in outcomes
+                        if not po.cached and po.seed is not None
+                    ]
+                    n_cached = sum(1 for po in outcomes if po.cached)
+                    clock.advance(
+                        n_cached * lookup_s + max(fresh, default=0.0)
+                    )
+                    for s, po in zip(suggestions, outcomes):
+                        study.observe(s, po)
+                round_span.set(trials=len(result.trials) - journal_mark)
+                flush_event(outcomes)
 
         def merged_outcome(rt: _TrialChain, *, culled: bool) -> PoolOutcome:
             last = rt.last
@@ -612,7 +589,7 @@ class HyperPower:
             )
 
         while True:
-            free = pool.n_inflight < pool.workers
+            free = pool is None or pool.n_inflight < pool.workers
             out_of_time = clock.exceeded(max_time_s)
             if free and promo_queue and not out_of_time:
                 rt = promo_queue.pop(0)
@@ -627,13 +604,16 @@ class HyperPower:
                 )
                 and len(state.trials) < study.max_samples
             )
+            if can_start and barrier:
+                run_round()
+                continue
             if can_start:
                 (suggestion,) = study.suggest(1)
                 dispatch(_TrialChain(suggestion, bracket=next_bracket), 0)
                 if rungs:
                     next_bracket = (next_bracket + 1) % fidelity.brackets
                 continue
-            if pool.n_inflight == 0:
+            if pool is None or pool.n_inflight == 0:
                 break
             completion = pool.next_completion()
             rt, stage, dispatched_s = running.pop(completion.ticket)
@@ -762,6 +742,8 @@ class HyperPower:
             end_attrs["paused"] = sched.n_paused
         if len(result.trials) > journal_mark:
             flush_event([])
+        if barrier:
+            return event_index
 
         makespan = clock.now_s - t0
         occupancy = busy_s / (pool.workers * makespan) if makespan > 0 else 0.0

@@ -15,18 +15,18 @@ them without giving up the framework's determinism guarantees:
   backends produce bit-identical outcomes in submission order.
   :meth:`EvaluationPool.submit` is the one dispatch path: it resolves a
   trial segment (cache hit, duplicate of an in-flight segment, or fresh
-  evaluation under the retry ladder) and queues its completion.  The
-  round-barrier driver's :meth:`EvaluationPool.evaluate_batch` is a round
-  of ``submit`` calls made at one instant and then drained.
+  evaluation under the retry ladder) and queues its completion at the
+  simulated time it finishes.  :meth:`EvaluationPool.next_completion`
+  pops the earliest one and :meth:`EvaluationPool.drain` pops them all;
+  those three calls are the pool's whole dispatch API.
 * :class:`TrialCache` memoises outcomes under a canonical configuration
   hash, so duplicate proposals — common under Rand-Walk (which hovers
   around its incumbent) and grid search (which revisits coarse grids) —
   cost a hash probe instead of a training.
-* Simulated-clock accounting models *q-parallel wall time*: a batch of
-  fresh trainings advances the clock by the ``max`` of their costs (they
-  run concurrently), not the sum; cache hits advance it by the near-zero
-  lookup cost.  The driver (:class:`~repro.core.hyperpower.HyperPower`)
-  applies this via :meth:`EvaluationPool.batch_wall_time_s`.
+* The pool never touches the simulated clock: it reports when each
+  dispatch finishes, and the driver (:class:`~repro.core.hyperpower.
+  HyperPower`) decides how far to advance — to the next completion, or
+  by a drained round's q-parallel wall time.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import hashlib
 import heapq
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -203,7 +203,7 @@ class TrialCache:
 
 @dataclass(frozen=True)
 class PoolOutcome:
-    """One batch slot's result: the outcome plus its provenance."""
+    """One dispatch's result: the outcome plus its provenance."""
 
     #: The evaluation outcome (fresh or replayed from the cache); ``None``
     #: when the trial exhausted its retry budget and FAILED.
@@ -211,7 +211,7 @@ class PoolOutcome:
     #: Whether the result came from the trial cache.
     cached: bool
     #: The deterministic seed the trial ran under (None for cache hits and
-    #: for within-batch duplicates of a failed evaluation).
+    #: for duplicates that shared an in-flight failed evaluation).
     seed: int | None
     #: Evaluation attempts consumed (0 for cache hits and duplicates).
     attempts: int = 1
@@ -418,7 +418,7 @@ class EvaluationPool:
         ``'serial'``, ``'thread'`` or ``'process'``.
     workers:
         ``q``, the number of concurrent trainings — both the executor's
-        worker count and the batch size the driver proposes per round.
+        worker count and the most segments :meth:`submit` keeps in flight.
     cache:
         Optional :class:`TrialCache`; ``None`` disables caching.
     seed:
@@ -544,52 +544,6 @@ class EvaluationPool:
         self._counter += 1
         return seed
 
-    def evaluate_batch(
-        self,
-        configs: Sequence[Mapping],
-        early_term: bool = False,
-        config_keys: Sequence[str] | None = None,
-    ) -> list[PoolOutcome]:
-        """Evaluate a round of accepted proposals; results in input order.
-
-        The round is :meth:`submit` calls made at one instant and then
-        drained, so every slot resolves as an event-queue dispatch does: a
-        cache hit, a duplicate sharing an earlier slot's evaluation
-        (counted as a cache hit), or a fresh evaluation under the next
-        deterministic seed and the retry policy.  A slot that exhausts its
-        retry budget comes back as a FAILED :class:`PoolOutcome` instead
-        of raising.  More configs than ``workers`` run as consecutive
-        rounds of ``workers`` slots.
-
-        Each round counts its dispatch waves: wave ``k`` holds the fresh
-        slots still running their ``k``-th attempt.  ``config_keys`` are
-        the configs' canonical hashes, when the caller holds them.
-        """
-        outcomes: list[PoolOutcome] = []
-        if config_keys is None:
-            config_keys = [None] * len(configs)
-        for start in range(0, len(configs), self.workers):
-            chunk = configs[start : start + self.workers]
-            for config, config_key in zip(chunk, config_keys[start:]):
-                self.submit(config, 0.0, early_term, config_key=config_key)
-            completions = sorted(
-                (self.next_completion() for _ in chunk),
-                key=lambda c: c.ticket,
-            )
-            round_outcomes = [c.outcome for c in completions]
-            attempts = [
-                po.attempts
-                for po in round_outcomes
-                if not po.cached and po.seed is not None
-            ]
-            for k in range(max(attempts, default=0)):
-                self._m_waves.inc()
-                self._m_occupancy.observe(
-                    sum(a > k for a in attempts) / self.workers
-                )
-            outcomes.extend(round_outcomes)
-        return outcomes
-
     def _share_hit(self) -> None:
         """Count a duplicate of an unfinished evaluation as a cache hit.
 
@@ -684,7 +638,7 @@ class EvaluationPool:
             self._charge_retry_wait(self.retry.backoff_s(retry))
         return _FreshResult.from_journal(entry)
 
-    # -- asynchronous (event-driven) dispatch ----------------------------------
+    # -- dispatch ----------------------------------------------------------------
 
     @property
     def n_inflight(self) -> int:
@@ -710,8 +664,8 @@ class EvaluationPool:
         function of its seed — and an event is queued at the simulated
         time the segment will *finish*.
         :meth:`next_completion` pops events in completion order, freeing
-        the slot the moment its segment ends instead of at a round
-        barrier.  Returns the submission-order ticket.
+        the slot the moment its segment ends; :meth:`drain` pops them all.
+        Returns the submission-order ticket.
 
         A segment trains from ``start_epoch`` to the cumulative budget
         ``epochs``; the defaults (``epochs=None``, ``start_epoch=0``) are
@@ -839,25 +793,21 @@ class EvaluationPool:
                     self.cache.note_seed(entry.key, entry.seed)
         return completion
 
-    # -- q-parallel time accounting --------------------------------------------
+    def drain(self) -> list[PoolOutcome]:
+        """Pop every in-flight completion; outcomes in ticket order.
 
-    @staticmethod
-    def batch_wall_time_s(
-        outcomes: Sequence[PoolOutcome], cache_lookup_s: float
-    ) -> float:
-        """Simulated wall time of one batch under q-parallel execution.
-
-        Fresh trainings run concurrently on the workers, so they cost the
-        ``max`` of their individual costs — not the sum the sequential
-        driver would charge.  A trial's individual cost includes its
-        failed attempts and backoff waits (retries occupy the same worker
-        slot serially); FAILED trials cost exactly their retry charges.
-        Cache hits are serial hash probes at ``cache_lookup_s`` each.
+        Each call counts its dispatch waves: wave ``k`` holds the fresh
+        slots still running their ``k``-th attempt, and the
+        ``pool.occupancy`` histogram records the fraction of ``workers``
+        each wave kept busy.
         """
-        fresh = [
-            po.total_cost_s
-            for po in outcomes
-            if not po.cached and po.seed is not None
+        completions = [self.next_completion() for _ in range(self.n_inflight)]
+        completions.sort(key=lambda c: c.ticket)
+        outcomes = [c.outcome for c in completions]
+        attempts = [
+            po.attempts for po in outcomes if not po.cached and po.seed is not None
         ]
-        n_cached = sum(1 for po in outcomes if po.cached)
-        return n_cached * cache_lookup_s + (max(fresh) if fresh else 0.0)
+        for k in range(max(attempts, default=0)):
+            self._m_waves.inc()
+            self._m_occupancy.observe(sum(a > k for a in attempts) / self.workers)
+        return outcomes

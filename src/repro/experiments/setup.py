@@ -296,10 +296,10 @@ class ExperimentSetup:
         the clock or any RNG stream, so the result is byte-identical to
         an untraced run (modulo ``RunResult.telemetry`` itself).
 
-        ``scheduler="async"`` (pool path only) replaces the round-barrier
-        loop with the event-driven scheduler: workers are refilled the
-        moment a trial completes and proposals condition on the in-flight
-        set — see :meth:`~repro.core.hyperpower.HyperPower.run`.  The BO
+        ``scheduler="async"`` (pool path only) drops the run loop's round
+        barrier: workers are refilled the moment a trial completes and
+        proposals condition on the in-flight set — see
+        :meth:`~repro.core.hyperpower.HyperPower.run`.  The BO
         solvers' constant-liar strategy is selected with the
         ``fantasy`` method kwarg (``"cl-min"``/``"cl-mean"``/``"none"``).
 

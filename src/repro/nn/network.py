@@ -166,15 +166,6 @@ class NetworkSpec:
         """Final output shape — always ``(num_classes,)``."""
         return self._shapes[-1]
 
-    def describe(self) -> str:
-        """A multi-line, prototxt-like summary of the topology."""
-        lines = [f"network {self._name!r}  input {self._input_shape}"]
-        for layer, in_shape, out_shape in zip(
-            self._layers, self.layer_input_shapes, self.layer_output_shapes
-        ):
-            lines.append(f"  {type(layer).__name__:<8} {in_shape} -> {out_shape}")
-        return "\n".join(lines)
-
     # -- composite layer/shape walk -------------------------------------------
 
     def walk(self) -> Sequence[tuple[Layer, Shape, Shape]]:

@@ -344,9 +344,10 @@ class TestOccupancyAccounting:
             objective, backend="serial", workers=1, injector=injector,
             retry=retry,
         ) as pool:
-            outcomes = pool.evaluate_batch(
-                setup.space.sample_many(12, rng)
-            )
+            outcomes = []
+            for config in setup.space.sample_many(12, rng):
+                pool.submit(config, 0.0)
+                outcomes.extend(pool.drain())
         retried = [o for o in outcomes if o.attempts > 1 or o.failed]
         assert retried, "expected at least one retry wave at crash=0.5"
         for outcome in outcomes:

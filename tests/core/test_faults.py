@@ -168,11 +168,20 @@ def _sample_configs(setup, n, seed=0):
     return [setup.space.sample(rng) for _ in range(n)]
 
 
+def _round(pool, configs):
+    """Submit ``configs`` at one instant and drain them: one round."""
+    for config in configs:
+        pool.submit(config, 0.0)
+    return pool.drain()
+
+
 class TestPoolFailureSemantics:
     def test_certain_crash_exhausts_attempts(self, setup):
         retry = RetryPolicy(max_attempts=3, backoff_base_s=60.0)
         pool, _ = _make_pool(setup, FaultRates(crash=1.0), retry=retry)
-        (outcome,) = pool.evaluate_batch(_sample_configs(setup, 1))
+        pool.submit(_sample_configs(setup, 1)[0], 0.0)
+        completion = pool.next_completion()
+        outcome = completion.outcome
         assert outcome.failed
         assert outcome.outcome is None
         assert outcome.attempts == 3
@@ -182,18 +191,15 @@ class TestPoolFailureSemantics:
         # consumed; the terminal attempt is charged without backoff.
         assert outcome.retry_s > 60.0 + 120.0
         assert outcome.total_cost_s == outcome.retry_s
-        # A lone failed slot is the batch's wall time.
-        assert (
-            EvaluationPool.batch_wall_time_s([outcome], 0.5)
-            == outcome.retry_s
-        )
+        # A lone failed slot holds its worker for exactly its retries.
+        assert completion.finish_s == outcome.retry_s
 
     def test_natural_timeout_is_synthesised(self, setup):
         # Trainings cost minutes of simulated time; a 10 s deadline reaps
         # every attempt even with no injected faults.
         retry = RetryPolicy(max_attempts=2, timeout_s=10.0)
         pool, _ = _make_pool(setup, FaultRates(), retry=retry)
-        (outcome,) = pool.evaluate_batch(_sample_configs(setup, 1))
+        (outcome,) = _round(pool, _sample_configs(setup, 1))
         assert outcome.failed
         assert outcome.faults == (TIMEOUT, TIMEOUT)
         assert outcome.failure_kind == TIMEOUT
@@ -203,7 +209,7 @@ class TestPoolFailureSemantics:
     def test_hang_charges_timeout_when_set(self, setup):
         retry = RetryPolicy(max_attempts=1, timeout_s=500.0)
         pool, _ = _make_pool(setup, FaultRates(hang=1.0), retry=retry)
-        (outcome,) = pool.evaluate_batch(_sample_configs(setup, 1))
+        (outcome,) = _round(pool, _sample_configs(setup, 1))
         assert outcome.faults == (HANG,)
         assert outcome.retry_s == 500.0
 
@@ -216,12 +222,12 @@ class TestPoolFailureSemantics:
             injector=FaultInjector(FaultRates(hang=1.0), seed=0, hang_s=777.0),
             retry=RetryPolicy(max_attempts=1),
         )
-        (outcome,) = pool.evaluate_batch(_sample_configs(setup, 1))
+        (outcome,) = _round(pool, _sample_configs(setup, 1))
         assert outcome.retry_s == 777.0
 
     def test_nvml_degrades_instead_of_failing(self, setup):
         pool, _ = _make_pool(setup, FaultRates(nvml=1.0))
-        (outcome,) = pool.evaluate_batch(_sample_configs(setup, 1))
+        (outcome,) = _round(pool, _sample_configs(setup, 1))
         assert not outcome.failed
         assert outcome.outcome.measurement is None
         assert outcome.outcome.measurement_failed
@@ -239,7 +245,7 @@ class TestPoolFailureSemantics:
             cache=cache,
             injector=FaultInjector(FaultRates(nvml=1.0), seed=0),
         )
-        pool.evaluate_batch(_sample_configs(setup, 1))
+        _round(pool, _sample_configs(setup, 1))
         assert len(cache) == 0
 
     def test_failed_outcomes_are_not_cached(self, setup):
@@ -259,7 +265,7 @@ class TestPoolFailureSemantics:
         configs = _sample_configs(setup, 1)
         # The same config twice in one batch: the duplicate shares the
         # failure without paying for it, and nothing enters the cache.
-        outcomes = pool.evaluate_batch([configs[0], dict(configs[0])])
+        outcomes = _round(pool, [configs[0], dict(configs[0])])
         assert len(cache) == 0
         assert all(o.failed for o in outcomes)
         assert outcomes[1].attempts == 0 and outcomes[1].retry_s == 0.0

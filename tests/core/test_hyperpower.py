@@ -6,6 +6,7 @@ import pytest
 from repro.core.hyperpower import SOLVERS, VARIANTS, build_method
 from repro.core.result import TrialStatus
 from repro.experiments.setup import quick_setup
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,40 @@ class TestTimeBudget:
         default = setup.run("Rand", "default", run_seed=4, max_time_s=1800.0)
         hyper = setup.run("Rand", "hyperpower", run_seed=4, max_time_s=1800.0)
         assert hyper.n_samples > 3 * default.n_samples
+
+
+#: The dispatch modes of the run loop: the paper's sequential loop, the
+#: round barrier over a pool, the asynchronous scheduler and SHA rungs.
+DISPATCH_MODES = {
+    "sequential": {},
+    "sync-pool": {"backend": "serial", "workers": 3},
+    "async": {"backend": "serial", "workers": 3, "scheduler": "async"},
+    "rungs": {
+        "backend": "serial", "workers": 3, "scheduler": "async", "rungs": 3,
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DISPATCH_MODES))
+class TestBudgetGuarantee:
+    def test_never_trains_past_max_evaluations(self, setup, mode):
+        for budget in (1, 2, 5):
+            result = setup.run(
+                "Rand", "hyperpower", run_seed=11, max_evaluations=budget,
+                **DISPATCH_MODES[mode],
+            )
+            assert 1 <= result.n_trained <= budget
+
+    def test_no_trial_starts_after_the_time_budget(self, setup, mode):
+        budget = 1800.0
+        telemetry = Telemetry()
+        result = setup.run(
+            "Rand", "default", run_seed=12, max_time_s=budget,
+            telemetry=telemetry, **DISPATCH_MODES[mode],
+        )
+        starts = [s.t0_s for s in telemetry.tracer.spans if s.name == "trial"]
+        assert len(starts) == result.n_samples
+        assert max(starts) < budget <= result.wall_time_s
 
 
 class TestConstraintBehaviour:

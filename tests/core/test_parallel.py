@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.core.constraints import GIB, ConstraintSpec, ModelConstraintChecker
 from repro.core.parallel import BACKENDS, EvaluationPool, TrialCache
+from repro.core.result import TrialStatus
 from repro.experiments.setup import quick_setup
 from repro.io import run_to_dict
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,13 @@ def setup():
         "mnist", "gtx1070", power_budget_w=85.0, memory_budget_gb=1.15,
         seed=0, profiling_samples=100,
     )
+
+
+def _round(pool, configs):
+    """Submit ``configs`` at one instant and drain them: one round."""
+    for config in configs:
+        pool.submit(config, 0.0)
+    return pool.drain()
 
 
 # -- screening soundness ---------------------------------------------------------
@@ -112,7 +121,7 @@ class TestEvaluationPool:
             with EvaluationPool(
                 objective, backend=backend, workers=2, seed=11
             ) as pool:
-                outcomes = pool.evaluate_batch(configs)
+                outcomes = _round(pool, configs[:2]) + _round(pool, configs[2:])
             per_backend[backend] = [
                 (po.outcome.error, po.outcome.cost_s, po.seed)
                 for po in outcomes
@@ -123,46 +132,100 @@ class TestEvaluationPool:
     def test_evaluation_does_not_touch_clock_or_shared_rng(self, setup):
         objective = setup.new_objective(0)
         state_before = objective._rng.bit_generator.state
-        with EvaluationPool(objective, seed=5) as pool:
-            pool.evaluate_batch(setup.space.sample_many(2, np.random.default_rng(0)))
+        with EvaluationPool(objective, workers=2, seed=5) as pool:
+            _round(pool, setup.space.sample_many(2, np.random.default_rng(0)))
         assert objective.clock.now_s == 0.0
         assert objective._rng.bit_generator.state == state_before
 
     def test_within_batch_duplicates_share_one_evaluation(self, setup):
+        # One round: the repeats wait for the in-flight original.
         objective = setup.new_objective(0)
         config = setup.space.sample(np.random.default_rng(1))
-        with EvaluationPool(objective, cache=TrialCache(), seed=2) as pool:
-            outcomes = pool.evaluate_batch([config, dict(config), config])
+        with EvaluationPool(
+            objective, workers=3, cache=TrialCache(), seed=2
+        ) as pool:
+            outcomes = _round(pool, [config, dict(config), config])
         assert [po.cached for po in outcomes] == [False, True, True]
         assert pool.hits == 2 and pool.misses == 1
         # All three slots carry the one fresh outcome.
         assert len({id(po.outcome) for po in outcomes}) == 1
 
-    def test_batch_wall_time_is_max_not_sum(self):
-        class _Outcome:
-            def __init__(self, cost):
-                self.cost_s = cost
+    def test_later_round_duplicates_are_cache_hits(self, setup):
+        objective = setup.new_objective(0)
+        config = setup.space.sample(np.random.default_rng(1))
+        with EvaluationPool(objective, cache=TrialCache(), seed=2) as pool:
+            outcomes = [
+                po for c in (config, dict(config), config)
+                for po in _round(pool, [c])
+            ]
+        assert [po.cached for po in outcomes] == [False, True, True]
+        assert pool.hits == 2 and pool.misses == 1
+        assert len({id(po.outcome) for po in outcomes}) == 1
 
-        from repro.core.parallel import PoolOutcome
+    def test_drain_returns_ticket_order_and_empties_the_pool(self, setup):
+        objective = setup.new_objective(0)
+        configs = setup.space.sample_many(3, np.random.default_rng(4))
+        with EvaluationPool(objective, workers=3, seed=6) as pool:
+            tickets = [pool.submit(c, 0.0) for c in configs]
+            outcomes = pool.drain()
+            assert pool.n_inflight == 0
+            # Ticket order is submission order: seeds come from the
+            # submission counter whatever order the trainings finish in.
+            assert [po.seed for po in outcomes] == [
+                int(np.random.SeedSequence([6, t]).generate_state(1)[0])
+                for t in tickets
+            ]
+            assert pool.drain() == []
 
-        outcomes = [
-            PoolOutcome(_Outcome(100.0), cached=False, seed=1),
-            PoolOutcome(_Outcome(40.0), cached=False, seed=2),
-            PoolOutcome(_Outcome(7.0), cached=True, seed=None),
+    # A drained round of a synchronous pooled run advances the clock by
+    # its q-parallel wall time, ``n_cached * lookup + max(fresh)``.
+
+    @staticmethod
+    def _rounds(setup, **kwargs):
+        """``(end, start, trials)`` of every round of a traced sync run."""
+        telemetry = Telemetry()
+        result = setup.run(
+            "Rand-Walk", "hyperpower", run_seed=1, max_evaluations=9,
+            backend="serial", workers=3, telemetry=telemetry, **kwargs,
+        )
+        spans = telemetry.tracer.spans
+        rounds = []
+        for rnd in (s for s in spans if s.name == "round"):
+            trial_spans = [
+                s for s in spans
+                if s.name == "trial" and s.parent_id == rnd.span_id
+            ]
+            trials = [result.trials[s.attrs["index"]] for s in trial_spans]
+            rounds.append((rnd.t1_s, trial_spans[0].t0_s, trials))
+        lookup_s = setup.cost_model.cache_lookup_s
+        for end_s, start_s, trials in rounds:
+            n_cached = sum(t.status is TrialStatus.CACHED for t in trials)
+            fresh = [
+                t.cost_s for t in trials if t.status is not TrialStatus.CACHED
+            ]
+            assert end_s == start_s + (
+                n_cached * lookup_s + max(fresh, default=0.0)
+            )
+            assert all(t.timestamp_s == end_s for t in trials)
+        return rounds
+
+    def test_batch_wall_time_is_max_not_sum(self, setup):
+        rounds = self._rounds(setup, use_cache=False)
+        walls = [
+            (end_s - start_s, sum(t.cost_s for t in trials))
+            for end_s, start_s, trials in rounds
+            if len(trials) > 1
         ]
-        wall = EvaluationPool.batch_wall_time_s(outcomes, cache_lookup_s=0.01)
-        assert wall == pytest.approx(100.0 + 0.01)
+        assert walls and all(wall < total for wall, total in walls)
 
-    def test_batch_wall_time_all_cached(self):
-        from repro.core.parallel import PoolOutcome
-
-        class _Outcome:
-            cost_s = 55.0
-
-        outcomes = [PoolOutcome(_Outcome(), cached=True, seed=None)] * 3
-        assert EvaluationPool.batch_wall_time_s(
-            outcomes, cache_lookup_s=0.01
-        ) == pytest.approx(0.03)
+    def test_batch_wall_time_all_cached(self, setup):
+        cache = TrialCache()
+        self._rounds(setup, cache=cache)
+        warm = self._rounds(setup, cache=cache)
+        lookup_s = setup.cost_model.cache_lookup_s
+        for end_s, start_s, trials in warm:
+            assert all(t.status is TrialStatus.CACHED for t in trials)
+            assert end_s == start_s + len(trials) * lookup_s
 
 
 # -- backend determinism, end to end ---------------------------------------------

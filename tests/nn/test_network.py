@@ -84,11 +84,6 @@ class TestIdentity:
         assert len(net) == 8
         assert list(net) == list(net.layers)
 
-    def test_describe_mentions_layers(self):
-        text = small_net().describe()
-        assert "Conv2D" in text
-        assert "Dense" in text
-
     def test_walk_triples(self):
         net = small_net()
         walk = net.walk()

@@ -67,6 +67,32 @@ class TestCommands:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--warm-cache"],
+            ["--no-cache"],
+            ["--workers", "3"],
+            ["--max-attempts", "5"],
+            ["--timeout", "600"],
+            ["--backoff-base", "30"],
+            ["--backoff-factor", "3"],
+        ],
+    )
+    def test_run_rejects_pool_flags_without_backend(self, flags):
+        # Without a pool these flags used to be silently ignored.
+        with pytest.raises(SystemExit, match="need --backend: " + flags[0]):
+            main(
+                [
+                    "--samples", "40",
+                    "run",
+                    "--pair", "mnist-tx1",
+                    "--solver", "Rand",
+                    "--evaluations", "2",
+                    *flags,
+                ]
+            )
+
     def test_fig3(self, capsys):
         assert main(["fig3"]) == 0
         out = capsys.readouterr().out

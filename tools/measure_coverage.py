@@ -4,11 +4,14 @@
 CI measures coverage properly with ``coverage.py`` (see the ``coverage``
 job in ``.github/workflows/ci.yml``); this tool exists for environments
 where that package is not installable.  It traces the test run with
-``sys.settrace``, records which lines of ``src/repro`` execute, and
-divides by the executable-line count derived from each module's compiled
-code objects (``co_lines``), which is the same line universe coverage.py
-uses.  Expect agreement within a couple of points — decorators and
-module-level constants are attributed slightly differently.
+``sys.settrace`` and ``threading.settrace``, so code that runs on threads
+the tests start (an in-process ``StudyServer``, the pool's ``thread``
+backend) counts too; worker processes are not traced.  It records which
+lines of ``src/repro`` execute and divides by the executable-line count
+derived from each module's compiled code objects (``co_lines``), which is
+the same line universe coverage.py uses.  Expect agreement within a
+couple of points — decorators and module-level constants are attributed
+slightly differently.
 
 Usage::
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import dis
 import sys
+import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,11 +66,13 @@ def main(argv: list[str]) -> int:
         executed.setdefault(filename, set())
         return local_trace
 
+    threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
         status = pytest.main(argv or ["-q"])
     finally:
         sys.settrace(None)
+        threading.settrace(None)
 
     rows = []
     total_hit = total_lines = 0
