@@ -174,20 +174,6 @@ def _cmd_run(args) -> None:
         raise SystemExit("--scatter-init must be >= 0")
     if args.scatter_init:
         kwargs["scatter_init"] = args.scatter_init
-    if args.backend is not None:
-        if args.workers < 1:
-            raise SystemExit("--workers must be >= 1")
-        kwargs["backend"] = args.backend
-        kwargs["workers"] = args.workers
-        kwargs["use_cache"] = not args.no_cache
-        if args.warm_cache:
-            if args.no_cache:
-                raise SystemExit("--warm-cache requires the cache (drop --no-cache)")
-            # Warm-cache replay: run once to populate a shared cache, then
-            # report the identically-seeded re-run, whose trainings all
-            # replay at lookup cost (runs are deterministic).
-            kwargs["cache"] = TrialCache()
-            setup.run(args.solver, args.variant, run_seed=args.run_seed, **kwargs)
     rates = FaultRates(
         crash=args.fault_crash,
         hang=args.fault_hang,
@@ -201,12 +187,28 @@ def _cmd_run(args) -> None:
         kwargs["faults"] = rates
         kwargs["fault_seed"] = args.fault_seed
     if args.backend is not None:
+        if args.workers < 1:
+            raise SystemExit("--workers must be >= 1")
+        kwargs["backend"] = args.backend
+        kwargs["workers"] = args.workers
+        kwargs["use_cache"] = not args.no_cache
         kwargs["retry"] = RetryPolicy(
             max_attempts=args.max_attempts,
             timeout_s=args.timeout,
             backoff_base_s=args.backoff_base,
             backoff_factor=args.backoff_factor,
         )
+        if args.warm_cache:
+            if args.no_cache:
+                raise SystemExit("--warm-cache requires the cache (drop --no-cache)")
+            # Warm-cache replay: run once to populate a shared cache, then
+            # report the identically-seeded re-run, whose trainings all
+            # replay at lookup cost (runs are deterministic).  The pre-run
+            # gets the reported run's faults and retry policy, so the cache
+            # holds what that run would train; it gets no journal, resume
+            # or telemetry, which are added below.
+            kwargs["cache"] = TrialCache()
+            setup.run(args.solver, args.variant, run_seed=args.run_seed, **kwargs)
     if args.journal:
         kwargs["journal"] = args.journal
     if args.resume:

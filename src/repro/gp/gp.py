@@ -13,7 +13,10 @@ optimization loop:
 * the marginal-likelihood optimiser consumes **analytic gradients**
   (a fused value-and-gradient objective built from the kernels'
   ``dK/dtheta``), so each L-BFGS-B step costs one Cholesky factorisation
-  instead of the ``p + 1`` factorisations of finite differencing;
+  instead of the ``p + 1`` factorisations of finite differencing, and
+  calls LAPACK's ``potrf``/``potrs`` directly, bit for bit what
+  ``scipy.linalg.cholesky``/``cho_solve`` compute, since at the ``n`` of
+  a BO loop their argument handling costs more than the factorisation;
 * :meth:`GaussianProcess.append` conditions on a new observation with the
   hyper-parameters held fixed via a **rank-1 Cholesky update** —
   ``O(n^2)`` instead of the ``O(n^3)`` full refactorisation, with the
@@ -68,6 +71,37 @@ _NOISE_LOG_BOUNDS = (np.log(1e-8), np.log(1.0))
 
 #: Objective value returned for numerically infeasible hyper-parameters.
 _BAD_NLML = 1e25
+
+#: LAPACK's double-precision Cholesky factorisation and solve, the very
+#: functions ``scipy.linalg.cholesky`` and ``cho_solve`` call.
+_POTRF, _POTRS = linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """The ``ValueError`` of scipy's ``check_finite``, for a direct call."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _nlml_cholesky(M: np.ndarray) -> np.ndarray | None:
+    """``scipy.linalg.cholesky(M, lower=True)`` bit for bit, or ``None``
+    where ``M`` is not positive definite (scipy's ``LinAlgError``)."""
+    _require_finite(M)
+    chol, info = _POTRF(M, lower=True, clean=True)
+    if info > 0:
+        return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return chol
+
+
+def _nlml_cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((chol, True), b)`` bit for bit."""
+    _require_finite(b)
+    x, info = _POTRS(chol, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 class _GPCore:
@@ -468,11 +502,10 @@ class GaussianProcess(_GPCore):
         """``(chol, alpha, nlml)`` of the Gram matrix ``K`` (noise added in
         place), or ``None`` where it is numerically infeasible."""
         K[np.diag_indices_from(K)] += self.noise_variance + _JITTER
-        try:
-            chol = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
+        chol = _nlml_cholesky(K)
+        if chol is None:
             return None
-        alpha = linalg.cho_solve((chol, True), self._y_std)
+        alpha = _nlml_cho_solve(chol, self._y_std)
         lml = (
             -0.5 * float(self._y_std @ alpha)
             - float(np.sum(np.log(np.diag(chol))))
@@ -506,7 +539,7 @@ class GaussianProcess(_GPCore):
             return bad
         chol, alpha, nlml = terms
         # A = alpha alpha^T - K^{-1}; grad_j = -0.5 sum(A * dK_j).
-        K_inv = linalg.cho_solve((chol, True), np.eye(K.shape[0]))
+        K_inv = _nlml_cho_solve(chol, np.eye(K.shape[0]))
         A = np.outer(alpha, alpha) - K_inv
         grad = np.empty(packed.shape[0])
         grad[:-1] = -0.5 * np.einsum("ij,kij->k", A, dK)

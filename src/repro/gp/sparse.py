@@ -61,7 +61,14 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .gp import _BAD_NLML, _JITTER, GaussianProcess, _GPCore
+from .gp import (
+    _BAD_NLML,
+    _JITTER,
+    GaussianProcess,
+    _GPCore,
+    _nlml_cho_solve,
+    _nlml_cholesky,
+)
 from .kernels import Kernel, Matern52
 from .profile import SurrogateProfile
 
@@ -366,12 +373,11 @@ class RandomFourierGP(_WeightSpaceGP):
         Phi = amp * np.cos(arg)
         A = Phi.T @ Phi
         A[np.diag_indices_from(A)] += self.noise_variance
-        try:
-            L = linalg.cholesky(A, lower=True)
-        except linalg.LinAlgError:
+        L = _nlml_cholesky(A)
+        if L is None:
             return None
         b = Phi.T @ y_std
-        beta = linalg.cho_solve((L, True), b)
+        beta = _nlml_cho_solve(L, b)
         yty = float(y_std @ y_std)
         quad = (yty - float(b @ beta)) / self.noise_variance
         nlml = (
@@ -409,7 +415,7 @@ class RandomFourierGP(_WeightSpaceGP):
         L_inv = linalg.solve_triangular(L, np.eye(m), lower=True)
         tr_a_inv = float(np.sum(L_inv**2))
         alpha = (y_std - Phi @ beta) / noise
-        B = linalg.cho_solve((L, True), Phi.T).T
+        B = _nlml_cho_solve(L, Phi.T).T
         grad = np.empty(packed.shape[0])
         # d/d log variance: Phi scales with sqrt(variance), so
         # d(Phi Phi^T)/d log variance = Phi Phi^T.

@@ -50,7 +50,12 @@ class Parameter(ABC):
 
     @abstractmethod
     def to_unit(self, value) -> float:
-        """Map a native value to the unit interval ``[0, 1]``."""
+        """Map a native value to the unit interval ``[0, 1]``.
+
+        Raises the ``ValueError`` of :meth:`validate` when ``value`` is
+        outside the native range: ``SearchSpace.encode`` relies on it to
+        check each value once.
+        """
 
     @abstractmethod
     def from_unit(self, u: float):

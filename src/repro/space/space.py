@@ -19,6 +19,7 @@ import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -160,6 +161,81 @@ class _ArrayDraw:
         return [dict(zip(self.names, row)) for row in zip(*columns)]
 
 
+class _ColumnEncode:
+    """``SearchSpace.encode`` of a pool of configurations, by columns.
+
+    Reproduces ``np.vstack([space.encode(c) for c in configs])`` bit for
+    bit when every configuration is a ``dict`` with exactly the space's
+    keys and every value is an in-range ``int`` on an integer axis or
+    ``float`` on a continuous one.  For anything else :meth:`encode`
+    returns ``None`` and the caller runs the row loop, which raises the
+    errors.  ``(v - lo) / span`` rounds the same subtraction and division
+    in numpy as in ``Parameter.to_unit``; log axes take ``math.log`` per
+    value, since ``np.log`` may differ in the last bit.
+    """
+
+    def __init__(self, params: Sequence[Parameter]):
+        # Per axis: (getter, native type, low, high, lo, span, log).
+        self.axes = []
+        for p in params:
+            low, high = float(p.low), float(p.high)
+            if type(p) is IntegerParameter:
+                axis = (int, low, high, low, float(p.high - p.low), False)
+            else:
+                lo, hi = p._fwd(p.low), p._fwd(p.high)
+                axis = (float, low, high, lo, hi - lo, p.log)
+            self.axes.append((itemgetter(p.name), *axis))
+
+    @staticmethod
+    def supports(params: Sequence[Parameter]) -> bool:
+        """Whether every axis converts and compares exactly as :meth:`encode`
+        assumes: the two built-in types, with bounds whose ``float`` is
+        exact (integer axes strictly within +-2**53) and, on continuous
+        axes, a nonzero span (``to_unit`` would divide by zero)."""
+        for p in params:
+            if type(p) is IntegerParameter:
+                if not (-(2**53) < p.low and p.high < 2**53):
+                    return False
+            elif type(p) is ContinuousParameter:
+                if not (
+                    float(p.low) == p.low
+                    and float(p.high) == p.high
+                    and p._fwd(p.high) != p._fwd(p.low)
+                ):
+                    return False
+            else:
+                return False
+        return True
+
+    def encode(self, configs: list) -> np.ndarray | None:
+        """The ``(n, d)`` encoding of ``configs``, or ``None`` (row loop)."""
+        d = len(self.axes)
+        if set(map(type, configs)) != {dict} or set(map(len, configs)) != {d}:
+            return None
+        X = np.empty((len(configs), d))
+        for j, (get, kind, low, high, lo, span, log) in enumerate(self.axes):
+            try:
+                column = list(map(get, configs))
+            except KeyError:
+                return None
+            if set(map(type, column)) != {kind}:
+                return None
+            try:
+                values = np.array(column, dtype=float)
+            except OverflowError:
+                return None
+            # The range check of ``contains``, exactly: an int in range
+            # converts exactly, one outside rounds to a float outside (the
+            # bounds are below 2**53 in magnitude), and NaN compares false.
+            if not np.all((values >= low) & (values <= high)):
+                return None
+            if log:
+                values = np.array(list(map(math.log, column)))
+            # ``IntegerParameter.to_unit`` maps a one-value range to 0.5.
+            X[:, j] = (values - lo) / span if span else 0.5
+        return X
+
+
 class SearchSpace:
     """An ordered collection of named hyper-parameters."""
 
@@ -174,12 +250,18 @@ class SearchSpace:
         self._array_draw = (
             _ArrayDraw(self._params) if _ArrayDraw.supports(self._params) else None
         )
+        self._column_encode = (
+            _ColumnEncode(self._params)
+            if _ColumnEncode.supports(self._params)
+            else None
+        )
 
     def __getstate__(self) -> dict:
-        # The array draw is derived from the parameters: pickles (study
-        # snapshots) leave it out and keep the layout older ones have.
+        # The array draw and the column encoding are derived from the
+        # parameters: pickles (study snapshots) leave them out and keep the
+        # layout older ones have.
         state = self.__dict__.copy()
-        del state["_array_draw"]
+        del state["_array_draw"], state["_column_encode"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -227,14 +309,18 @@ class SearchSpace:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, config: Mapping) -> None:
-        """Raise ``ValueError`` unless ``config`` is a complete, in-range point."""
+    def _check_keys(self, config: Mapping) -> None:
+        """Raise ``ValueError`` unless ``config`` has exactly the space's keys."""
         missing = set(self.names) - set(config)
         if missing:
             raise ValueError(f"configuration missing parameters {sorted(missing)}")
         extra = set(config) - set(self.names)
         if extra:
             raise ValueError(f"configuration has unknown parameters {sorted(extra)}")
+
+    def validate(self, config: Mapping) -> None:
+        """Raise ``ValueError`` unless ``config`` is a complete, in-range point."""
+        self._check_keys(config)
         for param in self._params:
             param.validate(config[param.name])
 
@@ -320,8 +406,12 @@ class SearchSpace:
     # -- unit-cube encoding --------------------------------------------------
 
     def encode(self, config: Mapping) -> np.ndarray:
-        """Map a configuration to a point in the unit hyper-cube."""
-        self.validate(config)
+        """Map a configuration to a point in the unit hyper-cube.
+
+        Raises the errors of :meth:`validate`: the key check here, each
+        value's range check once, in its parameter's ``to_unit``.
+        """
+        self._check_keys(config)
         return np.array(
             [p.to_unit(config[p.name]) for p in self._params], dtype=float
         )
@@ -340,11 +430,21 @@ class SearchSpace:
         return {p.name: p.from_unit(ui) for p, ui in zip(self._params, u)}
 
     def encode_many(self, configs: Iterable[Mapping]) -> np.ndarray:
-        """Stack the encodings of several configurations into an ``(n, d)`` array."""
-        rows = [self.encode(c) for c in configs]
-        if not rows:
+        """Stack the encodings of several configurations into an ``(n, d)`` array.
+
+        Always equal to ``np.vstack([self.encode(c) for c in configs])``,
+        errors included.  Pools of plain, in-range configurations (what
+        ``sample_many`` and ``neighbors`` return) are encoded by columns
+        (``_ColumnEncode``); anything else runs that loop.
+        """
+        configs = list(configs)
+        if not configs:
             return np.empty((0, self.dimension))
-        return np.vstack(rows)
+        if self._column_encode is not None:
+            X = self._column_encode.encode(configs)
+            if X is not None:
+                return X
+        return np.vstack([self.encode(c) for c in configs])
 
     # -- structural sub-vector -----------------------------------------------
 

@@ -93,6 +93,34 @@ class TestCommands:
                 ]
             )
 
+    def test_warm_cache_pre_run_draws_the_same_faults(self, capsys):
+        # The pre-run that fills the cache gets the reported run's fault
+        # rates and retry policy: a failed trial is never cached, so the
+        # warm run re-draws it and reports the cold run's failure.  With
+        # one evaluation no cache hit precedes a fresh trial, so the warm
+        # run's fresh trials keep the cold run's trial seeds.
+        run = [
+            "--samples", "40",
+            "run",
+            "--pair", "mnist-gtx1070",
+            "--solver", "Rand",
+            "--backend", "serial",
+            "--fault-crash", "0.5",
+            "--max-attempts", "1",
+            "--evaluations", "1",
+        ]
+        assert main(run) == 0
+        cold = capsys.readouterr().out
+        assert main([*run, "--warm-cache"]) == 0
+        warm = capsys.readouterr().out
+
+        def faults(out):
+            return [line for line in out.splitlines() if line.startswith("faults:")]
+
+        assert faults(cold) and faults(cold)[0].startswith("faults: 1 failed")
+        assert faults(warm) == faults(cold)
+        assert "(1 trials replayed)" in warm
+
     def test_fig3(self, capsys):
         assert main(["fig3"]) == 0
         out = capsys.readouterr().out
