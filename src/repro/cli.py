@@ -15,8 +15,8 @@ invocation; requesting several of them at once (``tables``) amortises it.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import fields
 
 from .experiments.fixed_evals import figure4_series, run_fixed_evals
 from .experiments.fixed_runtime import (
@@ -31,6 +31,7 @@ from .experiments.model_accuracy import format_table1, run_model_accuracy
 from .experiments.motivating import run_figure1, run_figure3
 from .core.faults import FaultRates, RetryPolicy
 from .core.parallel import TrialCache
+from .core.spec import RunSpec
 from .experiments.setup import PAPER_PAIRS, paper_setup
 from .io import save_runs
 
@@ -104,37 +105,24 @@ def _cmd_fig4(args) -> None:
         )
 
 
-def _cmd_run(args) -> None:
-    setup, pair = paper_setup(
-        args.pair, seed=args.seed, profiling_samples=args.samples
-    )
-    kwargs = {}
-    if args.evaluations is not None:
-        kwargs["max_evaluations"] = args.evaluations
-    if args.hours is not None:
-        kwargs["max_time_s"] = args.hours * 3600.0
-    if not kwargs:
-        kwargs["max_time_s"] = pair.time_budget_s
-    if args.hours is not None and not (
-        math.isfinite(args.hours) and args.hours > 0
-    ):
-        raise SystemExit("--hours must be finite and > 0")
-    if args.gp_refit_every < 1:
-        raise SystemExit("--gp-refit-every must be >= 1")
-    if args.gp_restarts < 0:
-        raise SystemExit("--gp-restarts must be >= 0")
-    if args.surrogate_features < 1:
-        raise SystemExit("--surrogate-features must be >= 1")
-    if args.surrogate_switch_at < 1:
-        raise SystemExit("--surrogate-switch-at must be >= 1")
-    kwargs["gp_restarts"] = args.gp_restarts
-    kwargs["gp_refit_every"] = args.gp_refit_every
-    kwargs["gp_warm_start"] = args.gp_warm_start
-    kwargs["surrogate"] = args.surrogate
-    kwargs["surrogate_features"] = args.surrogate_features
-    kwargs["surrogate_switch_at"] = args.surrogate_switch_at
-    if args.scheduler == "async" and args.backend is None:
-        raise SystemExit("--scheduler async requires --backend")
+#: Flags not named ``--`` plus the field whose check refused a value.  A
+#: refused value's message starts with its field (``RunSpec``,
+#: ``RetryPolicy``) or fault kind (``FaultRates``).
+_FLAGS = {
+    "max_evaluations": "--evaluations", "max_time_s": "--hours",
+    "timeout_s": "--timeout", "backoff_base_s": "--backoff-base",
+    "crash": "--fault-crash", "hang": "--fault-hang", "nan-loss": "--fault-nan",
+    "oom": "--fault-oom", "nvml": "--fault-nvml", "fault": "--fault-*",
+    "faults": "--fault-*",
+}
+
+
+def _run_options(args) -> dict:
+    """The run the flags describe, as ``ExperimentSetup.run`` keywords.
+
+    They are checked as a :class:`RunSpec` here, before the profiling
+    campaign; a refused value exits naming its flag.
+    """
     pool_flags = [
         flag
         for flag, given in (
@@ -151,76 +139,67 @@ def _cmd_run(args) -> None:
     if args.backend is None and pool_flags:
         # The sequential loop has no pool: these would be silently ignored.
         raise SystemExit("pool-only flags need --backend: " + " ".join(pool_flags))
-    kwargs["scheduler"] = args.scheduler
-    kwargs["fantasy"] = args.fantasy
-    if args.rungs < 0:
-        raise SystemExit("--rungs must be >= 0")
-    if args.rungs > 0:
-        if args.scheduler != "async" or args.backend is None:
-            raise SystemExit(
-                "--rungs requires --scheduler async and --backend"
-            )
-        if args.eta < 2:
-            raise SystemExit("--eta must be >= 2")
-        if args.min_epochs < 1:
-            raise SystemExit("--min-epochs must be >= 1")
-        if args.brackets < 1:
-            raise SystemExit("--brackets must be >= 1")
-        kwargs["rungs"] = args.rungs
-        kwargs["eta"] = args.eta
-        kwargs["min_epochs"] = args.min_epochs
-        kwargs["brackets"] = args.brackets
-    if args.scatter_init < 0:
-        raise SystemExit("--scatter-init must be >= 0")
-    if args.scatter_init:
-        kwargs["scatter_init"] = args.scatter_init
-    rates = FaultRates(
-        crash=args.fault_crash,
-        hang=args.fault_hang,
-        nan_loss=args.fault_nan,
-        oom=args.fault_oom,
-        nvml=args.fault_nvml,
-    )
-    if rates.any_active:
-        if args.backend is None:
-            raise SystemExit("fault injection requires --backend")
-        kwargs["faults"] = rates
-        kwargs["fault_seed"] = args.fault_seed
-    if args.backend is not None:
-        if args.workers < 1:
-            raise SystemExit("--workers must be >= 1")
-        kwargs["backend"] = args.backend
-        kwargs["workers"] = args.workers
-        kwargs["use_cache"] = not args.no_cache
-        kwargs["retry"] = RetryPolicy(
-            max_attempts=args.max_attempts,
-            timeout_s=args.timeout,
-            backoff_base_s=args.backoff_base,
-            backoff_factor=args.backoff_factor,
+    if args.warm_cache and args.no_cache:
+        raise SystemExit("--warm-cache requires the cache (drop --no-cache)")
+    # Every flag named like its field, then the ones that are not.
+    options = {
+        f.name: getattr(args, f.name) for f in fields(RunSpec) if hasattr(args, f.name)
+    }
+    if args.evaluations is not None:
+        options["max_evaluations"] = args.evaluations
+    if args.hours is not None:
+        options["max_time_s"] = args.hours * 3600.0
+    if args.evaluations is None and args.hours is None:
+        options["max_time_s"] = PAPER_PAIRS[args.pair].time_budget_s
+    try:
+        faults = FaultRates(
+            crash=args.fault_crash, hang=args.fault_hang, nan_loss=args.fault_nan,
+            oom=args.fault_oom, nvml=args.fault_nvml,
         )
-        if args.warm_cache:
-            if args.no_cache:
-                raise SystemExit("--warm-cache requires the cache (drop --no-cache)")
-            # Warm-cache replay: run once to populate a shared cache, then
-            # report the identically-seeded re-run, whose trainings all
-            # replay at lookup cost (runs are deterministic).  The pre-run
-            # gets the reported run's faults and retry policy, so the cache
-            # holds what that run would train; it gets no journal, resume
-            # or telemetry, which are added below.
-            kwargs["cache"] = TrialCache()
-            setup.run(args.solver, args.variant, run_seed=args.run_seed, **kwargs)
-    if args.journal:
-        kwargs["journal"] = args.journal
-    if args.resume:
-        kwargs["resume_from"] = args.resume
+        options.update(
+            use_cache=not args.no_cache,
+            faults=faults if faults.any_active else None,
+            retry=RetryPolicy(
+                max_attempts=args.max_attempts, timeout_s=args.timeout,
+                backoff_base_s=args.backoff_base, backoff_factor=args.backoff_factor,
+            ),
+        )
+        RunSpec(**options)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        flag = _FLAGS.get(field, "--" + field.replace("_", "-"))
+        raise SystemExit(f"{flag}: {exc}") from None
+    return options
+
+
+def _cmd_run(args) -> None:
+    options = _run_options(args)
+    setup, _ = paper_setup(
+        args.pair, seed=args.seed, profiling_samples=args.samples
+    )
+    cache = None
+    if args.warm_cache:
+        # Warm-cache replay: run once to populate a shared cache, then
+        # report the identically-seeded re-run, whose trainings all
+        # replay at lookup cost (runs are deterministic).  The pre-run
+        # gets the reported run's faults and retry policy, so the cache
+        # holds what that run would train; it gets no journal, resume
+        # or telemetry.
+        cache = TrialCache()
+        setup.run(**options, cache=cache)
     telemetry = None
     if args.trace_out or args.metrics_out:
         # Created only now so a --warm-cache pre-run stays untraced.
         from .telemetry import Telemetry
 
         telemetry = Telemetry()
-        kwargs["telemetry"] = telemetry
-    result = setup.run(args.solver, args.variant, run_seed=args.run_seed, **kwargs)
+    result = setup.run(
+        **options,
+        cache=cache,
+        journal=args.journal or None,
+        resume_from=args.resume or None,
+        telemetry=telemetry,
+    )
     print(
         f"{args.solver}/{args.variant} on {args.pair}: "
         f"{result.n_samples} samples, {result.n_trained} trained, "

@@ -48,18 +48,10 @@ from .methods import (
 from .objective import EvaluationOutcome, NNObjective
 from .parallel import EvaluationPool, PoolOutcome
 from .result import RunResult
+from .spec import SOLVERS, RunSpec
 from .study import VARIANTS, Study, Suggestion, register_run_metrics
 
 __all__ = ["SOLVERS", "VARIANTS", "build_method", "HyperPower"]
-
-#: The four solvers of Section 3.5.
-SOLVERS = ("Rand", "Rand-Walk", "HW-CWEI", "HW-IECI")
-
-#: Default random-walk neighbourhood size (unit-cube units).  The paper
-#: highlights how sensitive Rand-Walk is to this choice; this value lets
-#: the default variant succeed on the easy MNIST/TX1 pair while still
-#: failing on the tightly constrained CIFAR-10 pairs, as observed there.
-_DEFAULT_SIGMA = 0.15
 
 
 def build_method(
@@ -70,98 +62,58 @@ def build_method(
     power_model: PowerModel | None = None,
     memory_model: MemoryModel | None = None,
     latency_model=None,
-    sigma: float = _DEFAULT_SIGMA,
-    n_init: int = 5,
-    pool_size: int = 1000,
-    gp_restarts: int = 2,
-    gp_refit_every: int = 1,
-    gp_warm_start: bool = False,
-    gp_burn_in: int = 15,
-    fantasy: str = "cl-min",
-    surrogate: str = "exact",
-    surrogate_features: int = 256,
-    surrogate_switch_at: int = 1000,
-    scatter_init: int = 0,
+    **options,
 ) -> SearchMethod:
     """Construct one of the eight method variants.
 
     HyperPower variants need the fitted predictive models matching the
-    active budgets; default variants must not receive them.  The ``gp_*``
-    knobs configure the BO solvers' surrogate hot path (restart count,
-    hyper-refit cadence, warm starting — see
-    :class:`~repro.core.methods.BayesianOptimizer`) and are ignored by the
-    model-free solvers, as is ``fantasy`` (the BO solvers' constant-liar
-    strategy for in-flight trials under the asynchronous scheduler).
-
-    ``surrogate`` selects the surrogate tier (``exact|rff|nystrom|auto``)
-    for both the objective GP and — in default constrained variants — the
-    learned constraint GPs; ``surrogate_features`` sizes the sparse basis
-    and ``surrogate_switch_at`` sets the ``auto`` tier's threshold.  The
-    default ``exact`` reproduces the seed path byte-for-byte.
+    active budgets; default variants must not receive them.  ``options``
+    are :class:`~repro.core.spec.RunSpec` method fields, checked there;
+    a solver ignores the ones it does not read.  ``surrogate`` selects
+    the surrogate tier of both the objective GP and — in default
+    constrained variants — the learned constraint GPs.  The default
+    ``exact`` reproduces the seed path byte-for-byte.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    if variant not in VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {VARIANTS}"
-        )
-
+    run = RunSpec.for_method(solver, variant, options)
+    checker = None
     if variant == "hyperpower":
         checker = ModelConstraintChecker(
             spec, power_model, memory_model, latency_model=latency_model
         )
-        if solver == "Rand":
-            return RandomSearch(space, checker)
-        if solver == "Rand-Walk":
-            return RandomWalk(space, sigma, checker, feasible_incumbent=True)
-        acquisition = (
-            HWCWEI(checker) if solver == "HW-CWEI" else HWIECI(checker)
-        )
-        return BayesianOptimizer(
-            space,
-            acquisition,
-            model_checker=checker,
-            n_init=n_init,
-            pool_size=pool_size,
-            gp_restarts=gp_restarts,
-            refit_every=gp_refit_every,
-            warm_start=gp_warm_start,
-            burn_in=gp_burn_in,
-            fantasy=fantasy,
-            surrogate=surrogate,
-            surrogate_features=surrogate_features,
-            surrogate_switch_at=surrogate_switch_at,
-            scatter_init=scatter_init,
-        )
-
-    # Default (constraint-unaware-a-priori) variants.
     if solver == "Rand":
-        return RandomSearch(space, checker=None)
+        return RandomSearch(space, checker)
     if solver == "Rand-Walk":
-        return RandomWalk(space, sigma, checker=None, feasible_incumbent=False)
-    learned = GPConstraintModel(
-        space,
-        spec,
-        surrogate=surrogate,
-        surrogate_features=surrogate_features,
-        surrogate_switch_at=surrogate_switch_at,
-    )
-    acquisition = HWCWEI(learned) if solver == "HW-CWEI" else HWIECI(learned)
+        return RandomWalk(
+            space, run.sigma, checker, feasible_incumbent=checker is not None
+        )
+    if checker is not None:
+        constraints = {"model_checker": checker}
+    else:
+        # Default (constraint-unaware-a-priori) variants learn them.
+        checker = GPConstraintModel(
+            space,
+            spec,
+            surrogate=run.surrogate,
+            surrogate_features=run.surrogate_features,
+            surrogate_switch_at=run.surrogate_switch_at,
+        )
+        constraints = {"learned_constraints": checker}
+    acquisition = HWCWEI(checker) if solver == "HW-CWEI" else HWIECI(checker)
     return BayesianOptimizer(
         space,
         acquisition,
-        learned_constraints=learned,
-        n_init=n_init,
-        pool_size=pool_size,
-        gp_restarts=gp_restarts,
-        refit_every=gp_refit_every,
-        warm_start=gp_warm_start,
-        burn_in=gp_burn_in,
-        fantasy=fantasy,
-        surrogate=surrogate,
-        surrogate_features=surrogate_features,
-        surrogate_switch_at=surrogate_switch_at,
-        scatter_init=scatter_init,
+        **constraints,
+        n_init=run.n_init,
+        pool_size=run.pool_size,
+        gp_restarts=run.gp_restarts,
+        refit_every=run.gp_refit_every,
+        warm_start=run.gp_warm_start,
+        burn_in=run.gp_burn_in,
+        fantasy=run.fantasy,
+        surrogate=run.surrogate,
+        surrogate_features=run.surrogate_features,
+        surrogate_switch_at=run.surrogate_switch_at,
+        scatter_init=run.scatter_init,
     )
 
 

@@ -58,9 +58,13 @@ __all__ = [
     "RandomWalk",
     "GridSearch",
     "BayesianOptimizer",
+    "FANTASIES",
 ]
 
 _log = logging.getLogger(__name__)
+
+#: Constant-liar strategies of :class:`BayesianOptimizer` for in-flight trials.
+FANTASIES = ("cl-min", "cl-mean", "none")
 
 
 @dataclass
@@ -612,7 +616,7 @@ class BayesianOptimizer(SearchMethod):
             raise ValueError("refit_every must be >= 1")
         if gp_restarts < 0 or burn_in < 0:
             raise ValueError("gp_restarts and burn_in must be >= 0")
-        if fantasy not in ("cl-min", "cl-mean", "none"):
+        if fantasy not in FANTASIES:
             raise ValueError("fantasy must be 'cl-min', 'cl-mean' or 'none'")
         if surrogate not in SURROGATE_TIERS:
             raise ValueError(

@@ -422,10 +422,11 @@ class EvaluationPool:
     cache:
         Optional :class:`TrialCache`; ``None`` disables caching.
     seed:
-        Root of the per-trial seed stream.  Trial ``i`` (in submission
-        order, cache hits excluded from the numbering's RNG use but not
-        its count) runs under ``SeedSequence([seed, i])``, so results are
-        independent of the backend and of worker scheduling.
+        Root of the per-trial seed stream.  The ``i``-th fresh dispatch
+        runs under ``SeedSequence([seed, i])``, so results are independent
+        of the backend and of worker scheduling.  Only fresh dispatches
+        count: a cache hit, a shared in-flight duplicate or a continuation
+        (which reuses its pinned seed) does not advance ``i``.
     injector:
         Optional deterministic :class:`~repro.core.faults.FaultInjector`.
         ``None`` (or an injector with all rates zero) leaves every code

@@ -19,6 +19,7 @@ fixed-evaluation budgets of 30/50 iterations.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,12 +28,13 @@ import numpy as np
 from ..core.clock import DEFAULT_COST_MODEL, CostModel, SimClock
 from ..core.constraints import GIB, ConstraintSpec
 from ..core.early_term import EarlyTermination
-from ..core.faults import FaultInjector, FaultRates, RetryPolicy
+from ..core.faults import FaultInjector, RetryPolicy
 from ..core.fidelity import FidelitySchedule
 from ..core.hyperpower import HyperPower, build_method
 from ..core.objective import NNObjective
 from ..core.parallel import EvaluationPool, TrialCache
 from ..core.result import RunResult
+from ..core.spec import RunSpec
 from ..hwsim.devices import GTX_1070, get_device
 from ..hwsim.profiler import HardwareProfiler
 from ..models.hw_models import fit_hardware_models
@@ -198,6 +200,23 @@ class ExperimentSetup:
             early_termination=self.early_termination,
         )
 
+    def _open(self, run: RunSpec):
+        """The method, objective and proposal RNG of one run, plus the
+        solver/variant tag that decorrelates its other streams."""
+        method = build_method(
+            run.solver, run.variant, self.space, self.spec,
+            power_model=self.power_model, memory_model=self.memory_model,
+            **run.method_options,
+        )
+        # Decorrelate streams across method variants, or every method would
+        # see the exact same random proposals.
+        tag = zlib.crc32(f"{run.solver}/{run.variant}".encode("utf-8"))
+        objective = self.new_objective(int(run.run_seed) * 0x10000 + (tag & 0xFFFF))
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, 4, int(run.run_seed), tag])
+        )
+        return method, objective, rng, tag
+
     def open_study(
         self,
         solver: str,
@@ -214,25 +233,13 @@ class ExperimentSetup:
         :meth:`~repro.core.hyperpower.HyperPower.open_study` — so a caller
         driving ``suggest``/``evaluate_and_observe`` in the sequential
         pattern reproduces the closed loop byte for byte.
+        ``method_kwargs`` are :class:`~repro.core.spec.RunSpec` method
+        fields only.
         """
-        import zlib
-
-        method = build_method(
-            solver,
-            variant,
-            self.space,
-            self.spec,
-            power_model=self.power_model,
-            memory_model=self.memory_model,
-            **method_kwargs,
-        )
-        tag = zlib.crc32(f"{solver}/{variant}".encode("utf-8"))
-        objective = self.new_objective(int(run_seed) * 0x10000 + (tag & 0xFFFF))
+        run = RunSpec.for_method(solver, variant, method_kwargs, run_seed)
+        method, objective, rng, _ = self._open(run)
         driver = HyperPower(
-            objective, method, variant, self.cost_model, telemetry=telemetry
-        )
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 4, int(run_seed), tag])
+            objective, method, run.variant, self.cost_model, telemetry=telemetry
         )
         return driver.open_study(rng)
 
@@ -241,48 +248,26 @@ class ExperimentSetup:
         solver: str,
         variant: str,
         run_seed: int = 0,
-        max_evaluations: int | None = None,
-        max_time_s: float | None = None,
-        backend: str | None = None,
-        workers: int = 1,
-        use_cache: bool = True,
+        *,
         cache: TrialCache | None = None,
-        faults: FaultRates | None = None,
-        fault_seed: int | None = None,
-        retry: RetryPolicy | None = None,
         journal: str | Path | None = None,
         resume_from: str | Path | None = None,
         telemetry=None,
-        scheduler: str = "sync",
-        rungs: int = 0,
-        eta: int = 3,
-        min_epochs: int = 1,
-        brackets: int = 1,
-        scatter_init: int = 0,
-        **method_kwargs,
+        **options,
     ) -> RunResult:
         """Build and run one method variant under the given budget.
 
-        ``backend`` (``'serial'``/``'thread'``/``'process'``) routes
-        evaluations through a :class:`~repro.core.parallel.EvaluationPool`
-        with ``workers`` concurrent trainings and (unless ``use_cache`` is
-        False) a trial cache; the three backends are seeded identically,
-        so they yield the same :class:`~repro.core.result.RunResult`.
-        ``backend=None`` runs the paper's sequential loop.
+        ``options`` are the other :class:`~repro.core.spec.RunSpec`
+        fields: the budgets, the method knobs, the pool and the
+        scheduler.  ``docs/api.md`` lists each with its rule.  The three
+        pool backends are seeded identically, so they yield the same
+        :class:`~repro.core.result.RunResult`.
 
         Pass ``cache`` to share one :class:`TrialCache` across several runs
         (warm-cache replay: because runs are deterministic, re-running the
         same seeded configuration against a populated cache replays every
         training at lookup cost).  The counters copied into the result are
         this run's lookups only, not the shared cache's lifetime totals.
-
-        ``faults`` switches on deterministic fault injection (pool path
-        only): each evaluation attempt may crash, hang, NaN, OOM or lose
-        its hardware measurement at the given per-attempt rates, governed
-        by ``retry`` (timeouts, attempt budget, backoff — defaults to
-        :class:`~repro.core.faults.RetryPolicy`).  The injection stream is
-        seeded by ``fault_seed`` (derived from the setup/run seeds when
-        None), so failures are reproducible across backends and resumes.
 
         ``journal`` writes a crash-safe JSONL journal of the run (see
         :class:`~repro.io.RunJournal`); ``resume_from`` replays one left
@@ -295,158 +280,79 @@ class ExperimentSetup:
         switches on span tracing and run metrics; tracing never touches
         the clock or any RNG stream, so the result is byte-identical to
         an untraced run (modulo ``RunResult.telemetry`` itself).
-
-        ``scheduler="async"`` (pool path only) drops the run loop's round
-        barrier: workers are refilled the moment a trial completes and
-        proposals condition on the in-flight set — see
-        :meth:`~repro.core.hyperpower.HyperPower.run`.  The BO
-        solvers' constant-liar strategy is selected with the
-        ``fantasy`` method kwarg (``"cl-min"``/``"cl-mean"``/``"none"``).
-
-        The surrogate tier of the BO solvers is selected with the
-        ``surrogate`` method kwarg (``"exact"``/``"rff"``/``"nystrom"``/
-        ``"auto"``, with ``surrogate_features`` and
-        ``surrogate_switch_at`` sizing the sparse tiers) — see
-        :func:`~repro.core.hyperpower.build_method`; the default
-        ``"exact"`` reproduces the seed trajectories byte-for-byte.
-
-        ``rungs > 0`` switches on multi-fidelity scheduling (async pool
-        path only): trials train to a geometric ladder of ``rungs``
-        cumulative epoch budgets starting at ``min_epochs`` and capped at
-        the dataset's full schedule, pausing at each rung until enough
-        peers arrive, with only the top ``1/eta`` promoted to the next
-        rung (see :class:`~repro.core.fidelity.FidelitySchedule`).
-        ``brackets > 1`` runs Hyperband-style brackets round-robin, and
-        ``scatter_init`` widens both the rung-0 cell and the BO solvers'
-        random initial design (cheap low-fidelity screening before the GP
-        takes over).  ``rungs=0`` (the default) keeps the classic
-        full-fidelity paths byte-identical.
         """
-        if rungs < 0:
-            raise ValueError("rungs must be >= 0")
-        if rungs > 0 and (backend is None or scheduler != "async"):
-            raise ValueError(
-                "multi-fidelity rungs require the asynchronous pool path "
-                "(pass scheduler='async' and a backend)"
-            )
-        if scatter_init:
-            method_kwargs = dict(method_kwargs, scatter_init=scatter_init)
+        run = RunSpec(solver, variant, run_seed, **options)
         fidelity = None
-        if rungs > 0:
+        if run.rungs > 0:
             fidelity = FidelitySchedule.geometric(
                 self.dataset.default_epochs,
-                min_epochs=min_epochs,
-                eta=eta,
-                num_rungs=rungs,
-                scatter_init=scatter_init or None,
-                brackets=brackets,
+                min_epochs=run.min_epochs,
+                eta=run.eta,
+                num_rungs=run.rungs,
+                scatter_init=run.scatter_init or None,
+                brackets=run.brackets,
             )
-        method = build_method(
-            solver,
-            variant,
-            self.space,
-            self.spec,
-            power_model=self.power_model,
-            memory_model=self.memory_model,
-            **method_kwargs,
-        )
-        # Decorrelate streams across method variants, or every method would
-        # see the exact same random proposals.
-        import zlib
+        method, objective, rng, tag = self._open(run)
 
-        tag = zlib.crc32(f"{solver}/{variant}".encode("utf-8"))
-        objective = self.new_objective(int(run_seed) * 0x10000 + (tag & 0xFFFF))
-        if faults is not None and backend is None:
-            raise ValueError(
-                "fault injection requires a pool backend (the sequential "
-                "paper loop has no retry machinery)"
-            )
-        if scheduler == "async" and backend is None:
-            raise ValueError(
-                "the asynchronous scheduler requires a pool backend "
-                "(pass backend='serial'/'thread'/'process')"
-            )
-        if fault_seed is None:
-            fault_seed = int(
-                np.random.SeedSequence(
-                    [self.seed, 6, int(run_seed), tag]
-                ).generate_state(1)[0]
-            )
+        def stream_seed(kind: int) -> int:
+            seq = np.random.SeedSequence([self.seed, kind, int(run.run_seed), tag])
+            return int(seq.generate_state(1)[0])
+
+        fault_seed = stream_seed(6) if run.fault_seed is None else run.fault_seed
         pool = None
-        if backend is not None:
-            pool_seed = int(
-                np.random.SeedSequence(
-                    [self.seed, 5, int(run_seed), tag]
-                ).generate_state(1)[0]
-            )
-            if cache is None and use_cache:
+        if run.backend is not None:
+            if cache is None and run.use_cache:
                 cache = TrialCache()
             pool = EvaluationPool(
                 objective,
-                backend=backend,
-                workers=workers,
+                backend=run.backend,
+                workers=run.workers,
                 cache=cache,
-                seed=pool_seed,
+                seed=stream_seed(5),
                 injector=(
-                    None
-                    if faults is None
-                    else FaultInjector(faults, seed=fault_seed)
+                    None if run.faults is None
+                    else FaultInjector(run.faults, seed=fault_seed)
                 ),
-                retry=retry,
+                retry=run.retry,
             )
         driver = HyperPower(
-            objective,
-            method,
-            variant,
-            self.cost_model,
-            pool=pool,
+            objective, method, run.variant, self.cost_model, pool=pool,
             telemetry=telemetry,
         )
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 4, int(run_seed), tag])
-        )
-        run_journal = self._open_journal(
-            journal,
-            resume_from,
-            meta={
-                "setup_seed": self.seed,
-                "dataset": self.dataset_name,
-                "device": self.device_key,
-                "solver": solver,
-                "variant": variant,
-                "run_seed": int(run_seed),
-                "max_evaluations": max_evaluations,
-                "max_time_s": max_time_s,
-                "backend": backend,
-                "workers": int(workers),
-                "faults": None if faults is None else asdict(faults),
-                "fault_seed": None if faults is None else fault_seed,
-                "retry": asdict(RetryPolicy() if retry is None else retry),
-                "scheduler": scheduler,
-                **(
-                    {}
-                    if fidelity is None
-                    else {
-                        "fidelity": {
-                            "rungs": list(fidelity.rungs),
-                            "eta": fidelity.eta,
-                            "n0": fidelity.n0,
-                            "brackets": fidelity.brackets,
-                        }
-                    }
-                ),
-            },
-        )
+        meta = {
+            "setup_seed": self.seed,
+            "dataset": self.dataset_name,
+            "device": self.device_key,
+            "solver": run.solver,
+            "variant": run.variant,
+            "run_seed": int(run.run_seed),
+            "max_evaluations": run.max_evaluations,
+            "max_time_s": run.max_time_s,
+            "backend": run.backend,
+            "workers": int(run.workers),
+            "faults": None if run.faults is None else asdict(run.faults),
+            "fault_seed": None if run.faults is None else fault_seed,
+            "retry": asdict(RetryPolicy() if run.retry is None else run.retry),
+            "scheduler": run.scheduler,
+        }
+        if fidelity is not None:
+            meta["fidelity"] = {
+                "rungs": list(fidelity.rungs),
+                "eta": fidelity.eta,
+                "n0": fidelity.n0,
+                "brackets": fidelity.brackets,
+            }
+        run_journal = self._open_journal(journal, resume_from, meta)
         recorded = None if run_journal is None else run_journal.recorded
         if pool is not None and recorded is not None:
             pool.journaled = recorded.fresh_results()
         try:
             return driver.run(
                 rng,
-                max_evaluations=max_evaluations,
-                max_time_s=max_time_s,
+                max_evaluations=run.max_evaluations,
+                max_time_s=run.max_time_s,
                 journal=run_journal,
-                scheduler=scheduler,
+                scheduler=run.scheduler,
                 fidelity=fidelity,
             )
         finally:

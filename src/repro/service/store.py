@@ -62,6 +62,7 @@ import numpy as np
 from ..core.clock import SimClock
 from ..core.constraints import ConstraintSpec
 from ..core.parallel import canonical_config_key
+from ..core.spec import RunSpec
 from ..core.study import Study, TrialReport
 from ..io import trial_to_dict
 from ..space.space import SearchSpace
@@ -144,11 +145,16 @@ class StudySpec:
     memory_budget_bytes: float | None = None
     latency_budget_s: float | None = None
     quota: StudyQuota = field(default_factory=StudyQuota)
-    #: Extra ``build_method`` keywords (``sigma``, ``n_init``, ``gp_*``…).
+    #: Extra ``build_method`` keywords: :class:`~repro.core.spec.RunSpec`
+    #: method fields (``sigma``, ``n_init``, ``gp_*``…), checked here.
     method_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _validate_name(self.name)
+        try:
+            RunSpec.for_method(self.solver, self.variant, self.method_options)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(str(exc)) from None
 
     def constraint_spec(self) -> ConstraintSpec:
         return ConstraintSpec(
@@ -210,16 +216,9 @@ def _build_study(spec: StudySpec) -> Study:
     method_spec = spec.constraint_spec()
     if spec.variant == "hyperpower":
         method_spec = ConstraintSpec()
-    try:
-        method = build_method(
-            spec.solver,
-            spec.variant,
-            spec.space,
-            method_spec,
-            **dict(spec.method_options),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidParamsError(str(exc)) from None
+    method = build_method(
+        spec.solver, spec.variant, spec.space, method_spec, **spec.method_options
+    )
     # The name tag decorrelates same-seed studies, like the experiment
     # harness's solver/variant tag does for its repeat streams.
     name_tag = zlib.crc32(spec.name.encode("utf-8"))

@@ -162,6 +162,24 @@ class TestEvaluationPool:
         assert pool.hits == 2 and pool.misses == 1
         assert len({id(po.outcome) for po in outcomes}) == 1
 
+    def test_cache_hit_does_not_advance_the_fresh_seed(self, setup):
+        # Seeds number fresh dispatches only: the trial after a hit gets
+        # the seed it gets when the hit never happened.
+        a, b = setup.space.sample_many(2, np.random.default_rng(5))
+
+        def seeds(configs):
+            with EvaluationPool(
+                setup.new_objective(0), cache=TrialCache(), seed=2
+            ) as pool:
+                return [po.seed for c in configs for po in _round(pool, [c])]
+
+        with_hit = seeds([a, dict(a), b])
+        assert with_hit[1] is None
+        assert [with_hit[0], with_hit[2]] == seeds([a, b]) == [
+            int(np.random.SeedSequence([2, i]).generate_state(1)[0])
+            for i in (0, 1)
+        ]
+
     def test_drain_returns_ticket_order_and_empties_the_pool(self, setup):
         objective = setup.new_objective(0)
         configs = setup.space.sample_many(3, np.random.default_rng(4))

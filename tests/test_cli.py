@@ -1,10 +1,81 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+PAIRS = ("cifar10-gtx1070", "cifar10-tx1", "mnist-gtx1070", "mnist-tx1")
+_TABLE = [("--scale", float, 1.0, None), ("--repeats", int, 3, None)]
+
+#: Every option of every command, as ``(flag, type, default, choices)``:
+#: the 56 ``add_argument`` calls of ``build_parser``.
+SURFACE = {
+    "": [("--seed", int, 0, None), ("--samples", int, 100, None)],
+    "table1": [],
+    **{name: _TABLE for name in (
+        "table2", "table3", "table4", "table5", "tables", "headlines"
+    )},
+    "fig1": [],
+    "fig3": [],
+    "fig4": [("--pair", None, "cifar10-gtx1070", PAIRS), ("--repeats", int, 5, None)],
+    "run": [
+        ("--pair", None, "mnist-gtx1070", PAIRS),
+        ("--solver", None, "HW-IECI", ("Rand", "Rand-Walk", "HW-CWEI", "HW-IECI")),
+        ("--variant", None, "hyperpower", ("default", "hyperpower")),
+        ("--evaluations", int, None, None),
+        ("--hours", float, None, None),
+        ("--run-seed", int, 0, None),
+        ("--gp-refit-every", int, 1, None),
+        ("--gp-restarts", int, 2, None),
+        ("--gp-warm-start", None, False, None),
+        ("--surrogate", None, "exact", ("exact", "rff", "nystrom", "auto")),
+        ("--surrogate-features", int, 256, None),
+        ("--surrogate-switch-at", int, 1000, None),
+        ("--backend", None, None, ("serial", "thread", "process")),
+        ("--workers", int, 1, None),
+        ("--scheduler", None, "sync", ("sync", "async")),
+        ("--rungs", int, 0, None),
+        ("--eta", int, 3, None),
+        ("--min-epochs", int, 1, None),
+        ("--brackets", int, 1, None),
+        ("--scatter-init", int, 0, None),
+        ("--fantasy", None, "cl-min", ("cl-min", "cl-mean", "none")),
+        ("--no-cache", None, False, None),
+        ("--warm-cache", None, False, None),
+        ("--fault-crash", float, 0.0, None),
+        ("--fault-hang", float, 0.0, None),
+        ("--fault-nan", float, 0.0, None),
+        ("--fault-oom", float, 0.0, None),
+        ("--fault-nvml", float, 0.0, None),
+        ("--fault-seed", int, None, None),
+        ("--max-attempts", int, 3, None),
+        ("--timeout", float, None, None),
+        ("--backoff-base", float, 60.0, None),
+        ("--backoff-factor", float, 2.0, None),
+        ("--journal", None, None, None),
+        ("--resume", None, None, None),
+        ("--trace-out", None, None, None),
+        ("--metrics-out", None, None, None),
+        ("--out", None, None, None),
+    ],
+    "serve": [
+        ("--root", None, None, None),
+        ("--host", None, "127.0.0.1", None),
+        ("--port", int, 8642, None),
+        ("--no-fsync", None, False, None),
+        ("--snapshot-every", int, None, None),
+        ("--max-inflight", int, None, None),
+        ("--retry-after", float, 0.5, None),
+        ("--drain-timeout", float, 30.0, None),
+        ("--chaos-seed", int, 0, None),
+        ("--chaos-rate", float, 0.0, None),
+        ("--trace-out", None, None, None),
+        ("--metrics-out", None, None, None),
+    ],
+}
 
 
 class TestParser:
@@ -25,6 +96,35 @@ class TestParser:
     def test_bad_solver_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--solver", "Grid-9000"])
+
+    def test_option_surface_is_pinned(self):
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        parsers = {"": parser, **sub.choices}
+        assert sorted(parsers) == sorted(SURFACE)
+        required = []
+        for name, command in parsers.items():
+            options = [
+                a for a in command._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+            ]
+            assert [
+                (
+                    a.option_strings[0],
+                    a.type,
+                    a.default,
+                    None if a.choices is None else tuple(a.choices),
+                )
+                for a in options
+            ] == SURFACE[name], name
+            assert all(len(a.option_strings) == 1 for a in options)
+            required += [a.option_strings[0] for a in options if a.required]
+        assert required == ["--root"]
+        # The six fixed-runtime commands share one loop's two calls.
+        assert sum(map(len, SURFACE.values())) - 5 * len(_TABLE) == 56
 
 
 class TestCommands:
@@ -54,16 +154,39 @@ class TestCommands:
         assert payload["format"] == "repro-runs/1"
         assert payload["runs"][0]["method"] == "Rand"
 
-    @pytest.mark.parametrize("hours", ["nan", "inf", "0", "-1"])
-    def test_run_rejects_bad_hours(self, hours):
-        with pytest.raises(SystemExit, match="--hours"):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--hours", "nan"], id="nan"),
+            pytest.param(["--hours", "inf"], id="inf"),
+            pytest.param(["--hours", "0"], id="0"),
+            pytest.param(["--hours", "-1"], id="-1"),
+            pytest.param(["--evaluations", "0"], id="evaluations"),
+            pytest.param(["--backend", "serial", "--max-attempts", "0"],
+                         id="max-attempts"),
+            pytest.param(["--backend", "serial", "--fault-crash", "2"],
+                         id="fault-crash"),
+            pytest.param(["--backend", "serial", "--timeout", "-5"],
+                         id="timeout"),
+            pytest.param(["--backend", "serial", "--backoff-factor", "0.5"],
+                         id="backoff-factor"),
+        ],
+    )
+    def test_run_rejects_bad_hours(self, monkeypatch, flags):
+        # Every bad value exits naming its flag before the profiling
+        # campaign runs.
+        def paper_setup(*args, **kwargs):
+            raise AssertionError("paper_setup ran before the flags were checked")
+
+        monkeypatch.setattr("repro.cli.paper_setup", paper_setup)
+        with pytest.raises(SystemExit, match=flags[-2]):
             main(
                 [
                     "--samples", "40",
                     "run",
                     "--pair", "mnist-tx1",
                     "--solver", "Rand",
-                    "--hours", hours,
+                    *flags,
                 ]
             )
 
