@@ -33,6 +33,7 @@ from .core.faults import FaultRates, RetryPolicy
 from .core.parallel import TrialCache
 from .core.spec import RunSpec
 from .experiments.setup import PAPER_PAIRS, paper_setup
+from .trainsim.dataset import get_dataset
 from .io import save_runs
 
 _RUNTIME_TABLES = {
@@ -164,7 +165,10 @@ def _run_options(args) -> dict:
                 backoff_base_s=args.backoff_base, backoff_factor=args.backoff_factor,
             ),
         )
-        RunSpec(**options)
+        # The rung ladder depends on the pair's epoch schedule.
+        RunSpec(**options).fidelity(
+            get_dataset(PAPER_PAIRS[args.pair].dataset).default_epochs
+        )
     except ValueError as exc:
         field = str(exc).split()[0]
         flag = _FLAGS.get(field, "--" + field.replace("_", "-"))

@@ -124,19 +124,14 @@ class HWIECI(Acquisition):
     name = "HW-IECI"
 
     def __init__(self, checker):
-        if not hasattr(checker, "indicator"):
-            raise TypeError("checker must expose indicator(config)")
+        if not hasattr(checker, "indicator_batch"):
+            raise TypeError("checker must expose indicator_batch(configs)")
         self.checker = checker
 
     def score(self, candidates, X_unit, gp, incumbent):
         ei = expected_improvement(*gp.predict(X_unit), incumbent)
-        if hasattr(self.checker, "indicator_batch"):
-            # One vectorised screening call for the whole candidate pool.
-            gate = self.checker.indicator_batch(candidates).astype(float)
-        else:
-            gate = np.array(
-                [1.0 if self.checker.indicator(c) else 0.0 for c in candidates]
-            )
+        # One vectorised screening call for the whole candidate pool.
+        gate = self.checker.indicator_batch(candidates).astype(float)
         return ei * gate
 
 
@@ -146,21 +141,16 @@ class HWCWEI(Acquisition):
     name = "HW-CWEI"
 
     def __init__(self, checker):
-        if not hasattr(checker, "satisfaction_probability"):
+        if not hasattr(checker, "satisfaction_probability_batch"):
             raise TypeError(
-                "checker must expose satisfaction_probability(config)"
+                "checker must expose satisfaction_probability_batch(configs)"
             )
         self.checker = checker
 
     def score(self, candidates, X_unit, gp, incumbent):
         ei = expected_improvement(*gp.predict(X_unit), incumbent)
-        if hasattr(self.checker, "satisfaction_probability_batch"):
-            weights = np.asarray(
-                self.checker.satisfaction_probability_batch(candidates),
-                dtype=float,
-            )
-        else:
-            weights = np.array(
-                [self.checker.satisfaction_probability(c) for c in candidates]
-            )
+        weights = np.asarray(
+            self.checker.satisfaction_probability_batch(candidates),
+            dtype=float,
+        )
         return ei * weights

@@ -705,17 +705,3 @@ class HyperPower:
         sched_span.set(events=event_index, occupancy=occupancy, **end_attrs)
         sched_span.__exit__(None, None, None)
         return event_index
-
-    # -- the headline answer --------------------------------------------------------
-
-    def best_configuration(self, result: RunResult) -> dict | None:
-        """``x*``: the feasible configuration with the best test error."""
-        best_trial = None
-        for trial in result.trials:
-            if not trial.was_trained or math.isnan(trial.error):
-                continue
-            if trial.feasible_meas is False:
-                continue
-            if best_trial is None or trial.error < best_trial.error:
-                best_trial = trial
-        return None if best_trial is None else dict(best_trial.config)

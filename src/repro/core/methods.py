@@ -123,6 +123,9 @@ class RejectedProposal:
     power_pred_w: float | None
     memory_pred_bytes: float | None
 
+    #: Rejected by the models, so predicted infeasible by definition.
+    feasible_pred = False
+
 
 @dataclass(frozen=True)
 class Proposal:
@@ -183,37 +186,9 @@ def _pending_keys(pending: Sequence) -> frozenset:
 
 
 def _predictions(checker, config) -> tuple[float | None, float | None]:
-    if checker is None or not hasattr(checker, "predictions"):
+    if checker is None:
         return None, None
     return checker.predictions(config)
-
-
-def _screen_batch(checker, configs):
-    """``checker.screen_batch`` with a scalar fallback.
-
-    Duck-typed checkers (tests, GP-based constraint models) may only
-    implement the per-config ``indicator``/``predictions`` interface; this
-    keeps them usable behind the vectorised screening loop.  Returns
-    ``(accept, power, memory)`` where ``power``/``memory`` are ``None`` or
-    per-config sequences whose entries may themselves be ``None``.
-    """
-    if hasattr(checker, "screen_batch"):
-        return checker.screen_batch(configs)
-    accept = np.array([bool(checker.indicator(c)) for c in configs])
-    power = []
-    memory = []
-    for config in configs:
-        p, m = _predictions(checker, config)
-        power.append(p)
-        memory.append(m)
-    return accept, power, memory
-
-
-def _indicator_batch(checker, configs) -> np.ndarray:
-    """``checker.indicator_batch`` with a scalar fallback."""
-    if hasattr(checker, "indicator_batch"):
-        return np.asarray(checker.indicator_batch(configs))
-    return np.array([bool(checker.indicator(c)) for c in configs])
 
 
 def _pred_at(values, i) -> float | None:
@@ -302,7 +277,7 @@ class _ModelScreeningMixin:
             chunk = min(self.screen_chunk, remaining)
             configs = draw_many(chunk)
             remaining -= chunk
-            accept, power, memory = _screen_batch(checker, configs)
+            accept, power, memory = checker.screen_batch(configs)
             for i, config in enumerate(configs):
                 p = _pred_at(power, i)
                 m = _pred_at(memory, i)
@@ -469,7 +444,7 @@ class GridSearch(_ModelScreeningMixin, SearchMethod):
 
     def _refill_pending(self) -> None:
         batch = [self._advance() for _ in range(self.screen_chunk)]
-        accept, power, memory = _screen_batch(self.checker, batch)
+        accept, power, memory = self.checker.screen_batch(batch)
         for i, config in enumerate(batch):
             self._pending.append(
                 (config, bool(accept[i]), _pred_at(power, i), _pred_at(memory, i))
@@ -687,7 +662,7 @@ class BayesianOptimizer(SearchMethod):
         while checks < limit:
             chunk = min(self.screen_chunk, limit - checks)
             configs = self.space.sample_many(chunk, rng)
-            accept = _indicator_batch(self.model_checker, configs)
+            accept = self.model_checker.indicator_batch(configs)
             for i, config in enumerate(configs):
                 checks += 1
                 if accept[i]:

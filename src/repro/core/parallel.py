@@ -37,7 +37,7 @@ import json
 import math
 from collections.abc import Mapping
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,48 +245,7 @@ class PoolOutcome:
         base = 0.0 if self.outcome is None else self.outcome.cost_s
         return base + self.retry_s
 
-
-@dataclass
-class _FreshResult:
-    """Internal per-task accounting of the retry loop."""
-
-    outcome: EvaluationOutcome | None = None
-    attempts: int = 0
-    faults: list[str] = field(default_factory=list)
-    failure_kind: str | None = None
-    retry_s: float = 0.0
-    backoff_s: float = 0.0
-
-    @classmethod
-    def from_journal(cls, entry) -> "_FreshResult":
-        """Rebuild a result from a journaled :class:`~repro.io.ReplayEval`."""
-        return cls(
-            outcome=entry.outcome,
-            attempts=int(entry.attempts),
-            faults=list(entry.faults),
-            failure_kind=entry.failure_kind,
-            retry_s=float(entry.retry_s),
-            backoff_s=float(entry.backoff_s),
-        )
-
-    def pool_outcome(
-        self, seed: int, epochs: int | None = None, start_epoch: int = 0
-    ) -> PoolOutcome:
-        """The slot result of the dispatch that paid for this evaluation."""
-        return PoolOutcome(
-            self.outcome,
-            cached=False,
-            seed=seed,
-            attempts=self.attempts,
-            faults=tuple(self.faults),
-            failure_kind=self.failure_kind,
-            retry_s=self.retry_s,
-            backoff_s=self.backoff_s,
-            epochs=epochs,
-            start_epoch=start_epoch,
-        )
-
-    def shared_outcome(self, epochs: int | None = None) -> PoolOutcome:
+    def shared_outcome(self) -> "PoolOutcome":
         """The slot result of a duplicate that waited for this evaluation.
 
         A success reads as a cache hit; a failure is shared but carries no
@@ -298,13 +257,12 @@ class _FreshResult:
                 cached=False,
                 seed=None,
                 attempts=0,
-                faults=tuple(self.faults),
+                faults=self.faults,
                 failure_kind=self.failure_kind,
-                retry_s=0.0,
-                epochs=epochs,
+                epochs=self.epochs,
             )
         return PoolOutcome(
-            self.outcome, cached=True, seed=None, attempts=0, epochs=epochs
+            self.outcome, cached=True, seed=None, attempts=0, epochs=self.epochs
         )
 
 
@@ -367,7 +325,7 @@ class AsyncCompletion:
 class _Inflight:
     """A cacheable asynchronous dispatch, until its completion is popped."""
 
-    result: _FreshResult
+    result: PoolOutcome
     key: str
     finish_s: float
     #: Effective curve seed noted on the cache entry at pop time (None
@@ -476,7 +434,7 @@ class EvaluationPool:
         #: Journaled fresh results of an interrupted run, keyed by
         #: ``(trial seed, start_epoch)`` (:meth:`repro.io.JournalReplay.
         #: fresh_results`); filled once when a run resumes.
-        self.journaled: dict[tuple[int, int], object] = {}
+        self.journaled: dict[tuple[int, int], PoolOutcome] = {}
         self.bind_metrics(NOOP_METRICS)
 
     def bind_metrics(self, metrics) -> None:
@@ -577,7 +535,7 @@ class EvaluationPool:
         # Hangs only arise from an injector; unreachable without one.
         return 1800.0  # pragma: no cover
 
-    def _run_fresh(self, task: _Task, early_term: bool) -> _FreshResult:
+    def _run_fresh(self, task: _Task, early_term: bool) -> PoolOutcome:
         """Run one fresh task with deterministic fault injection and retries.
 
         Every attempt's evaluation seed and fault plan are pure functions
@@ -585,12 +543,14 @@ class EvaluationPool:
         outcome (including every failure) is identical on all three
         backends.
         """
-        state = _FreshResult()
+        outcome = failure_kind = None
+        attempts = 0
+        faults: list[str] = []
+        retry_s = backoff_s = 0.0
         while True:
-            attempt = state.attempts
-            eval_seed, fault_stream = task.attempt_seeds(attempt)
+            eval_seed, fault_stream = task.attempt_seeds(attempts)
             fault = (
-                self.injector.draw(fault_stream, attempt)
+                self.injector.draw(fault_stream, attempts)
                 if self.injector is not None
                 else None
             )
@@ -604,7 +564,7 @@ class EvaluationPool:
             else:
                 future = self._get_executor().submit(_evaluate_task, *args)
                 res = future.result()
-            state.attempts += 1
+            attempts += 1
             event = None
             if isinstance(res, FaultEvent):
                 charge = (
@@ -619,25 +579,36 @@ class EvaluationPool:
                 # per-trial deadline; the pool reaps it there.
                 event = (TIMEOUT, self.retry.timeout_s)
             if event is None:
-                state.outcome = res
-                return state
+                outcome = res
+                break
             kind, charge = event
-            state.faults.append(kind)
-            if state.attempts >= self.retry.max_attempts:
-                state.failure_kind = kind
-                state.retry_s += charge
-                return state
-            backoff = self.retry.backoff_s(state.attempts)
-            state.retry_s += charge + backoff
-            state.backoff_s += backoff
+            faults.append(kind)
+            if attempts >= self.retry.max_attempts:
+                failure_kind = kind
+                retry_s += charge
+                break
+            backoff = self.retry.backoff_s(attempts)
+            retry_s += charge + backoff
+            backoff_s += backoff
             self._charge_retry_wait(backoff)
+        return PoolOutcome(
+            outcome,
+            cached=False,
+            seed=task.seed,
+            attempts=attempts,
+            faults=tuple(faults),
+            failure_kind=failure_kind,
+            retry_s=retry_s,
+            backoff_s=backoff_s,
+            epochs=task.epochs,
+            start_epoch=task.start_epoch,
+        )
 
-    def _journaled_result(self, entry) -> _FreshResult:
-        """A journaled evaluation, charged to the metrics as it ran live."""
-        self._m_dispatched.inc(entry.attempts)
-        for retry in range(1, entry.attempts):
+    def _charge_journaled(self, outcome: PoolOutcome) -> None:
+        """Charge a journaled evaluation to the metrics as it ran live."""
+        self._m_dispatched.inc(outcome.attempts)
+        for retry in range(1, outcome.attempts):
             self._charge_retry_wait(self.retry.backoff_s(retry))
-        return _FreshResult.from_journal(entry)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -713,7 +684,7 @@ class EvaluationPool:
                 self._push_event(
                     ticket,
                     max(origin.finish_s, now_s) + cache_lookup_s,
-                    origin.result.shared_outcome(epochs),
+                    origin.result.shared_outcome(),
                     busy_s=cache_lookup_s,
                 )
                 return ticket
@@ -736,26 +707,25 @@ class EvaluationPool:
             start_epoch,
             epochs,
         )
-        recorded = self.journaled.get((task.seed, start_epoch))
-        if recorded is not None:
-            res = self._journaled_result(recorded)
+        outcome = self.journaled.get((task.seed, start_epoch))
+        if outcome is not None:
+            self._charge_journaled(outcome)
         else:
-            res = self._run_fresh(task, early_term)
-        outcome = res.pool_outcome(task.seed, epochs, start_epoch)
+            outcome = self._run_fresh(task, early_term)
         finish_s = now_s + outcome.total_cost_s
         entry = None
         if key is not None:
-            entry = _Inflight(result=res, key=key, finish_s=finish_s)
-            if res.outcome is not None:
+            entry = _Inflight(result=outcome, key=key, finish_s=finish_s)
+            if outcome.outcome is not None:
                 # The successful attempt's derived seed is what a resumed
                 # continuation must regenerate the curve from.
-                entry.seed = task.attempt_seeds(res.attempts - 1)[0]
+                entry.seed = task.attempt_seeds(outcome.attempts - 1)[0]
             self._inflight_by_key[key] = entry
         self._push_event(
             ticket,
             finish_s,
             outcome,
-            busy_s=outcome.total_cost_s - res.backoff_s,
+            busy_s=outcome.total_cost_s - outcome.backoff_s,
             entry=entry,
         )
         return ticket

@@ -113,6 +113,17 @@ class Trial:
         )
 
     @property
+    def counts_for_best(self) -> bool:
+        """Whether this sample's error competes for the best feasible
+        error: trained, with a real error, and not measured infeasible
+        (an unmeasured sample counts)."""
+        return (
+            self.was_trained
+            and not math.isnan(self.error)
+            and self.feasible_meas is not False
+        )
+
+    @property
     def is_violation(self) -> bool:
         """Whether the sample was deployed and violated measured constraints."""
         return self.feasible_meas is False
@@ -232,24 +243,20 @@ class RunResult:
 
     # -- best-error trajectories ----------------------------------------------
 
-    def _feasible_errors(self) -> list[tuple[int, float, float]]:
-        """(index, timestamp, error) of feasible, trained samples."""
-        rows = []
+    def best_trial(self) -> Trial | None:
+        """``x*``: the first sample with the lowest error among those that
+        :attr:`Trial.counts_for_best`; ``None`` when there is none."""
+        best = None
         for t in self.trials:
-            if not t.was_trained or math.isnan(t.error):
-                continue
-            if t.feasible_meas is False:
-                continue
-            rows.append((t.index, t.timestamp_s, t.error))
-        return rows
+            if t.counts_for_best and (best is None or t.error < best.error):
+                best = t
+        return best
 
     @property
     def best_feasible_error(self) -> float:
         """Lowest feasible error found; chance error when none was found."""
-        rows = self._feasible_errors()
-        if not rows:
-            return self.chance_error
-        return min(error for _, _, error in rows)
+        best = self.best_trial()
+        return self.chance_error if best is None else best.error
 
     def best_error_vs_samples(self) -> np.ndarray:
         """Best feasible error after each queried sample (Figure 4 left).
@@ -259,11 +266,7 @@ class RunResult:
         best = self.chance_error
         out = np.empty(len(self.trials))
         for i, t in enumerate(self.trials):
-            if (
-                t.was_trained
-                and not math.isnan(t.error)
-                and t.feasible_meas is not False
-            ):
+            if t.counts_for_best:
                 best = min(best, t.error)
             out[i] = best
         return out
@@ -273,11 +276,7 @@ class RunResult:
         times, values = [], []
         best = self.chance_error
         for t in self.trials:
-            if (
-                t.was_trained
-                and not math.isnan(t.error)
-                and t.feasible_meas is not False
-            ):
+            if t.counts_for_best:
                 best = min(best, t.error)
             times.append(t.timestamp_s)
             values.append(best)
@@ -301,11 +300,7 @@ class RunResult:
         ``target_error``, s (Table 5).  ``inf`` when never reached."""
         best = math.inf
         for t in self.trials:
-            if (
-                t.was_trained
-                and not math.isnan(t.error)
-                and t.feasible_meas is not False
-            ):
+            if t.counts_for_best:
                 best = min(best, t.error)
                 if best <= target_error:
                     return t.timestamp_s
@@ -315,4 +310,4 @@ class RunResult:
     def found_feasible(self) -> bool:
         """Whether any feasible trained sample was found (Table 2's '--'
         entries are runs where default Rand-Walk never did)."""
-        return bool(self._feasible_errors())
+        return self.best_trial() is not None

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 from ..gp.sparse import SURROGATE_TIERS
 from .faults import FaultRates, RetryPolicy
+from .fidelity import FidelitySchedule
 from .methods import FANTASIES
 from .parallel import BACKENDS
 from .study import VARIANTS
@@ -128,6 +129,21 @@ class RunSpec:
                     f"{key} is not a method option; expected one of {METHOD_FIELDS}"
                 )
         return cls(solver, variant, run_seed, **options)
+
+    def fidelity(self, max_epochs: int) -> FidelitySchedule | None:
+        """The rung ladder over a ``max_epochs`` training schedule (None
+        without rungs).  ``min_epochs`` and ``brackets`` are bounded by
+        the schedule, so they are checked here, not at construction."""
+        if self.rungs == 0:
+            return None
+        return FidelitySchedule.geometric(
+            max_epochs,
+            min_epochs=self.min_epochs,
+            eta=self.eta,
+            num_rungs=self.rungs,
+            scatter_init=self.scatter_init or None,
+            brackets=self.brackets,
+        )
 
     @property
     def method_options(self) -> dict:

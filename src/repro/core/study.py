@@ -295,23 +295,6 @@ class Study:
         """Look up a pending suggestion by ticket (KeyError if resolved)."""
         return self._pending[ticket]
 
-    def best_trial(self) -> Trial | None:
-        """The feasible trained trial with the best test error, if any."""
-        best = None
-        for trial in self.result.trials:
-            if not trial.was_trained or math.isnan(trial.error):
-                continue
-            if trial.feasible_meas is False:
-                continue
-            if best is None or trial.error < best.error:
-                best = trial
-        return best
-
-    def best_configuration(self) -> dict | None:
-        """``x*``: the feasible configuration with the best test error."""
-        best = self.best_trial()
-        return None if best is None else dict(best.config)
-
     # -- ask ------------------------------------------------------------------------
 
     def suggest(self, n: int = 1, *, batch_aware: bool = True) -> list[Suggestion]:
@@ -370,16 +353,11 @@ class Study:
         """One proposal: method call, clock charges, screening records.
 
         ``pending`` is the list of in-flight configurations forwarded to
-        pending-aware methods; when empty the method is called with two
-        arguments, so duck-typed two-argument methods keep working on the
-        synchronous path.
+        pending-aware methods.
         """
         clock = self.clock
         with self.tracer.span("propose") as propose_span:
-            if pending:
-                proposal = self.method.propose(self.state, self.rng, list(pending))
-            else:
-                proposal = self.method.propose(self.state, self.rng)
+            proposal = self.method.propose(self.state, self.rng, list(pending))
             if proposal.silent_model_checks:
                 clock.advance(
                     self.cost_model.pool_check_s
@@ -395,7 +373,7 @@ class Study:
                     proposal.gp_appends
                     * self.cost_model.gp_append_s(self.state.n_trained)
                 )
-            fantasies = getattr(proposal, "gp_fantasies", 0)
+            fantasies = proposal.gp_fantasies
             if fantasies:
                 # Constant-liar conditioning is rank-1 appends on a copy
                 # of the surrogate — same unit cost as a real append.
@@ -428,23 +406,72 @@ class Study:
         return proposal
 
     def _record_rejection(self, rejected) -> None:
-        clock = self.clock
         cost = self.cost_model.proposal_s + self.cost_model.model_check_s
-        clock.advance(cost)
-        trial = Trial(
-            index=len(self.state.trials),
-            config=dict(rejected.config),
-            status=TrialStatus.REJECTED_MODEL,
-            timestamp_s=clock.now_s,
-            cost_s=cost,
-            power_pred_w=rejected.power_pred_w,
-            memory_pred_bytes=rejected.memory_pred_bytes,
-            feasible_pred=False,
-        )
-        self.state.trials.append(trial)
-        self.result.trials.append(trial)
-        self._trial_counter(TrialStatus.REJECTED_MODEL).inc()
+        self.clock.advance(cost)
+        self._record(rejected, TrialStatus.REJECTED_MODEL, cost)
         self._m_rejections.inc()
+
+    def _record(self, preds, status: TrialStatus, cost_s: float, **fields) -> Trial:
+        """Append one queried sample to the record, timestamped now.
+
+        ``preds`` is the :class:`~repro.core.methods.Proposal` (or the
+        model-rejected draw) behind the sample: it supplies the config and
+        the model predictions, ``fields`` the rest of the
+        :class:`~repro.core.result.Trial`.  A trained sample also joins
+        the training set the method conditions on.
+        """
+        state = self.state
+        trial = Trial(
+            index=len(state.trials),
+            config=dict(preds.config),
+            status=status,
+            timestamp_s=self.clock.now_s,
+            cost_s=cost_s,
+            power_pred_w=preds.power_pred_w,
+            memory_pred_bytes=preds.memory_pred_bytes,
+            feasible_pred=preds.feasible_pred,
+            **fields,
+        )
+        state.trials.append(trial)
+        self.result.trials.append(trial)
+        self._trial_counter(status).inc()
+        if trial.was_trained:
+            state.trained_configs.append(dict(preds.config))
+            state.trained_errors.append(trial.error)
+            state.trained_feasible.append(trial.feasible_meas)
+        return trial
+
+    def _measured(self, proposal: Proposal, outcome) -> dict:
+        """The measured :class:`~repro.core.result.Trial` fields of one
+        evaluation outcome.
+
+        Degradation ladder: measured -> model-predicted -> unknown.  When
+        the hardware measurement failed (transient NVML error) the trial
+        records the proposal's predictions with
+        ``measurement_degraded=True``, so model-free (default-variant)
+        methods degrade to unknown.
+        """
+        fields = {"error": outcome.error, "diverged": outcome.diverged}
+        measurement = outcome.measurement
+        if measurement is not None:
+            fields.update(
+                power_meas_w=measurement.power_w,
+                memory_meas_bytes=measurement.memory_bytes,
+                latency_meas_s=measurement.latency_s,
+                feasible_meas=outcome.feasible_meas,
+            )
+            return fields
+        power, memory = proposal.power_pred_w, proposal.memory_pred_bytes
+        feasible = None
+        if power is not None or memory is not None:
+            feasible = self.spec.measured_feasible(power, memory, None)
+        fields.update(
+            power_meas_w=power,
+            memory_meas_bytes=memory,
+            feasible_meas=feasible,
+            measurement_degraded=True,
+        )
+        return fields
 
     # -- tell -----------------------------------------------------------------------
 
@@ -502,9 +529,7 @@ class Study:
                 "study has no bound objective; observe external results "
                 "with TrialReport instead"
             )
-        resolved = self._take_pending(suggestion)
-        proposal = resolved.proposal
-        clock = self.clock
+        proposal = self._take_pending(suggestion).proposal
         with self.tracer.span("trial", index=len(self.state.trials)) as span:
             outcome = self.objective.evaluate(
                 proposal.config, early_term=self.early_term
@@ -517,32 +542,15 @@ class Study:
             span.set(status=status.value, feasible_meas=outcome.feasible_meas)
             if not math.isnan(outcome.error):
                 span.set(error=outcome.error)
-        trial = Trial(
-            index=len(self.state.trials),
-            config=dict(proposal.config),
-            status=status,
-            timestamp_s=clock.now_s,
-            cost_s=outcome.cost_s,
-            error=outcome.error,
-            epochs_run=outcome.epochs_run,
-            diverged=outcome.diverged,
-            power_pred_w=proposal.power_pred_w,
-            memory_pred_bytes=proposal.memory_pred_bytes,
-            power_meas_w=outcome.measurement.power_w,
-            memory_meas_bytes=outcome.measurement.memory_bytes,
-            latency_meas_s=outcome.measurement.latency_s,
-            feasible_pred=proposal.feasible_pred,
-            feasible_meas=outcome.feasible_meas,
-            attempts=1,
-        )
-        self.state.trials.append(trial)
-        self.result.trials.append(trial)
-        self.state.trained_configs.append(dict(proposal.config))
-        self.state.trained_errors.append(outcome.error)
-        self.state.trained_feasible.append(outcome.feasible_meas)
-        self._trial_counter(status).inc()
         self._m_attempts.inc()
-        return trial
+        return self._record(
+            proposal,
+            status,
+            outcome.cost_s,
+            epochs_run=outcome.epochs_run,
+            attempts=1,
+            **self._measured(proposal, outcome),
+        )
 
     def observe_batch(
         self,
@@ -575,10 +583,7 @@ class Study:
         """
         if len(suggestions) != len(pool_outcomes):
             raise ValueError("one pool outcome per suggestion required")
-        clock = self.clock
         tracer = self.tracer
-        state = self.state
-        result = self.result
         for suggestion, pool_outcome in zip(suggestions, pool_outcomes):
             self._take_pending(suggestion)
             proposal = suggestion.proposal
@@ -586,12 +591,18 @@ class Study:
             self._m_attempts.inc(pool_outcome.attempts)
             self._m_faults.inc(len(pool_outcome.faults))
             self._m_retry_s.inc(pool_outcome.retry_s)
+            provenance = {
+                "attempts": pool_outcome.attempts,
+                "faults": pool_outcome.faults,
+                "retry_s": pool_outcome.retry_s,
+                "rung": pool_outcome.rung,
+            }
             if pool_outcome.failed:
                 sid = tracer.record(
                     "trial",
                     batch_t0,
                     batch_t0 + pool_outcome.retry_s,
-                    index=len(state.trials),
+                    index=len(self.state.trials),
                     status=TrialStatus.FAILED.value,
                     failure_kind=pool_outcome.failure_kind,
                 )
@@ -604,24 +615,13 @@ class Study:
                         attempts=pool_outcome.attempts,
                         faults=list(pool_outcome.faults),
                     )
-                self._trial_counter(TrialStatus.FAILED).inc()
-                trial = Trial(
-                    index=len(state.trials),
-                    config=dict(proposal.config),
-                    status=TrialStatus.FAILED,
-                    timestamp_s=clock.now_s,
-                    cost_s=pool_outcome.retry_s,
-                    power_pred_w=proposal.power_pred_w,
-                    memory_pred_bytes=proposal.memory_pred_bytes,
-                    feasible_pred=proposal.feasible_pred,
-                    attempts=pool_outcome.attempts,
-                    faults=pool_outcome.faults,
+                self._record(
+                    proposal,
+                    TrialStatus.FAILED,
+                    pool_outcome.retry_s,
                     failure_kind=pool_outcome.failure_kind,
-                    retry_s=pool_outcome.retry_s,
-                    rung=pool_outcome.rung,
+                    **provenance,
                 )
-                state.trials.append(trial)
-                result.trials.append(trial)
                 continue
             if pool_outcome.cached:
                 status = TrialStatus.CACHED
@@ -641,30 +641,11 @@ class Study:
                 )
                 cost = outcome.cost_s + pool_outcome.retry_s
                 epochs_run = outcome.epochs_run
-            if outcome.measurement is None:
-                # Degradation ladder: measured -> model-predicted ->
-                # unknown.  The predictions come from the proposal, so
-                # model-free (default-variant) methods degrade to unknown.
-                power_meas = proposal.power_pred_w
-                memory_meas = proposal.memory_pred_bytes
-                latency_meas = None
-                if power_meas is None and memory_meas is None:
-                    feasible_meas = None
-                else:
-                    feasible_meas = self.spec.measured_feasible(
-                        power_meas, memory_meas, None
-                    )
-                degraded = True
-            else:
-                power_meas = outcome.measurement.power_w
-                memory_meas = outcome.measurement.memory_bytes
-                latency_meas = outcome.measurement.latency_s
-                feasible_meas = outcome.feasible_meas
-                degraded = False
+            measured = self._measured(proposal, outcome)
             attrs = {
-                "index": len(state.trials),
+                "index": len(self.state.trials),
                 "status": status.value,
-                "feasible_meas": feasible_meas,
+                "feasible_meas": measured["feasible_meas"],
             }
             if not math.isnan(outcome.error):
                 attrs["error"] = outcome.error
@@ -697,42 +678,20 @@ class Study:
                 )
                 if outcome.measurement is not None:
                     tracer.record("measure", trial_t1 - measure_s, trial_t1, parent=sid)
-            self._trial_counter(status).inc()
-            trial = Trial(
-                index=len(state.trials),
-                config=dict(proposal.config),
-                status=status,
-                timestamp_s=clock.now_s,
-                cost_s=cost,
-                error=outcome.error,
+            self._record(
+                proposal,
+                status,
+                cost,
                 epochs_run=epochs_run,
-                diverged=outcome.diverged,
-                power_pred_w=proposal.power_pred_w,
-                memory_pred_bytes=proposal.memory_pred_bytes,
-                power_meas_w=power_meas,
-                memory_meas_bytes=memory_meas,
-                latency_meas_s=latency_meas,
-                feasible_pred=proposal.feasible_pred,
-                feasible_meas=feasible_meas,
-                attempts=pool_outcome.attempts,
-                faults=pool_outcome.faults,
-                retry_s=pool_outcome.retry_s,
-                measurement_degraded=degraded,
-                rung=pool_outcome.rung,
+                **measured,
+                **provenance,
             )
-            state.trials.append(trial)
-            result.trials.append(trial)
-            state.trained_configs.append(dict(proposal.config))
-            state.trained_errors.append(outcome.error)
-            state.trained_feasible.append(feasible_meas)
 
     def _observe_report(
         self, suggestion: Suggestion, report: TrialReport
     ) -> Trial:
         """Record an externally evaluated trial (the service path)."""
         clock = self.clock
-        state = self.state
-        proposal = suggestion.proposal
         cost = float(report.cost_s)
         t0 = clock.now_s
         clock.advance(cost)
@@ -752,40 +711,27 @@ class Study:
             feasible_meas = self.spec.measured_feasible(
                 report.power_w, report.memory_bytes, report.latency_s
             )
-        attrs = {"index": len(state.trials), "status": status.value}
+        attrs = {"index": len(self.state.trials), "status": status.value}
         if feasible_meas is not None:
             attrs["feasible_meas"] = feasible_meas
         if not math.isnan(report.error):
             attrs["error"] = report.error
         self.tracer.record("trial", t0, t0 + cost, **attrs)
-        trial = Trial(
-            index=len(state.trials),
-            config=dict(suggestion.config),
-            status=status,
-            timestamp_s=clock.now_s,
-            cost_s=cost,
+        self._m_attempts.inc()
+        return self._record(
+            suggestion.proposal,
+            status,
+            cost,
             error=report.error,
             epochs_run=report.epochs_run,
             diverged=report.diverged,
-            power_pred_w=proposal.power_pred_w,
-            memory_pred_bytes=proposal.memory_pred_bytes,
             power_meas_w=report.power_w,
             memory_meas_bytes=report.memory_bytes,
             latency_meas_s=report.latency_s,
-            feasible_pred=proposal.feasible_pred,
             feasible_meas=feasible_meas,
             attempts=1,
             failure_kind=report.failure_kind,
         )
-        state.trials.append(trial)
-        self.result.trials.append(trial)
-        self._trial_counter(status).inc()
-        self._m_attempts.inc()
-        if status is not TrialStatus.FAILED:
-            state.trained_configs.append(dict(suggestion.config))
-            state.trained_errors.append(report.error)
-            state.trained_feasible.append(feasible_meas)
-        return trial
 
     # -- finishing ------------------------------------------------------------------
 

@@ -29,7 +29,6 @@ from ..core.clock import DEFAULT_COST_MODEL, CostModel, SimClock
 from ..core.constraints import GIB, ConstraintSpec
 from ..core.early_term import EarlyTermination
 from ..core.faults import FaultInjector, RetryPolicy
-from ..core.fidelity import FidelitySchedule
 from ..core.hyperpower import HyperPower, build_method
 from ..core.objective import NNObjective
 from ..core.parallel import EvaluationPool, TrialCache
@@ -282,16 +281,7 @@ class ExperimentSetup:
         an untraced run (modulo ``RunResult.telemetry`` itself).
         """
         run = RunSpec(solver, variant, run_seed, **options)
-        fidelity = None
-        if run.rungs > 0:
-            fidelity = FidelitySchedule.geometric(
-                self.dataset.default_epochs,
-                min_epochs=run.min_epochs,
-                eta=run.eta,
-                num_rungs=run.rungs,
-                scatter_init=run.scatter_init or None,
-                brackets=run.brackets,
-            )
+        fidelity = run.fidelity(self.dataset.default_epochs)
         method, objective, rng, tag = self._open(run)
 
         def stream_seed(kind: int) -> int:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core.objective import EvaluationOutcome
+from .core.parallel import PoolOutcome
 from .core.result import RunResult, Trial, TrialStatus
 from .hwsim.nvml import PowerTrace
 from .hwsim.profiler import HardwareMeasurement
@@ -47,7 +47,6 @@ __all__ = [
     "JOURNAL_FORMAT",
     "RunJournal",
     "JournalReplay",
-    "ReplayEval",
 ]
 
 
@@ -279,7 +278,7 @@ def _scan_journal(path: Path) -> tuple[dict, list[dict], dict | None, int]:
     return header, rounds, end, keep
 
 
-def _eval_entry(pool_outcome) -> dict:
+def _eval_entry(pool_outcome: PoolOutcome) -> dict:
     """Journal entry for one fresh (dispatched) pool evaluation.
 
     Rung segments add ``start_epoch``/``epochs`` keys; the classic paths
@@ -422,22 +421,6 @@ class RunJournal:
         self.close()
 
 
-@dataclass(frozen=True)
-class ReplayEval:
-    """One journaled fresh evaluation, as a resumed pool looks it up."""
-
-    seed: int
-    outcome: EvaluationOutcome | None
-    attempts: int
-    faults: tuple[str, ...]
-    failure_kind: str | None
-    retry_s: float
-    backoff_s: float = 0.0
-    #: Rung-segment window (None/0 on classic full-fidelity entries).
-    start_epoch: int = 0
-    epochs: int | None = None
-
-
 class JournalReplay:
     """A recovered journal: its meta, recorded rounds and fresh results."""
 
@@ -463,31 +446,28 @@ class JournalReplay:
         """Journaled (replayable) rounds."""
         return len(self._rounds)
 
-    def fresh_results(self) -> dict[tuple[int, int], ReplayEval]:
+    def fresh_results(self) -> dict[tuple[int, int], PoolOutcome]:
         """Every journaled fresh evaluation, keyed by ``(trial seed,
         start_epoch)`` — the table a resumed pool looks dispatches up in
         (sequential-path rounds journal none: they re-execute)."""
         table = {}
         for record in self._rounds:
             for e in record["evals"] or ():
-                entry = ReplayEval(
+                outcome = PoolOutcome(
+                    None
+                    if e["outcome"] is None
+                    else outcome_from_dict(e["outcome"]),
+                    cached=False,
                     seed=int(e["seed"]),
-                    outcome=(
-                        None
-                        if e["outcome"] is None
-                        else outcome_from_dict(e["outcome"])
-                    ),
                     attempts=int(e["attempts"]),
                     faults=tuple(e["faults"]),
                     failure_kind=e["failure_kind"],
                     retry_s=float(e["retry_s"]),
                     backoff_s=float(e.get("backoff_s", 0.0)),
+                    epochs=None if e.get("epochs") is None else int(e["epochs"]),
                     start_epoch=int(e.get("start_epoch", 0)),
-                    epochs=(
-                        None if e.get("epochs") is None else int(e["epochs"])
-                    ),
                 )
-                table[(entry.seed, entry.start_epoch)] = entry
+                table[(outcome.seed, outcome.start_epoch)] = outcome
         return table
 
     def verify_round(self, round_index: int, trials) -> None:

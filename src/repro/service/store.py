@@ -151,6 +151,9 @@ class StudySpec:
 
     def __post_init__(self) -> None:
         _validate_name(self.name)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise InvalidParamsError(f"seed must be an int >= 0, got {seed!r}")
         try:
             RunSpec.for_method(self.solver, self.variant, self.method_options)
         except (TypeError, ValueError) as exc:
@@ -288,11 +291,12 @@ class ManagedStudy:
         partial journal is removed before the typed error propagates, so
         a retried create does not collide with its own debris.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        managed = cls(spec, directory, fsync=fsync, timer=timer, chaos=chaos,
-                      snapshot_every=snapshot_every, metrics=metrics,
-                      tracer=tracer, trace_lock=trace_lock)
+        # Built before the directory exists: a spec the study cannot be
+        # built from leaves nothing on disk.
+        managed = cls(spec, Path(directory), fsync=fsync, timer=timer,
+                      chaos=chaos, snapshot_every=snapshot_every,
+                      metrics=metrics, tracer=tracer, trace_lock=trace_lock)
+        managed.directory.mkdir(parents=True, exist_ok=True)
         managed._writer = JsonlWriter(
             managed.journal_path, fsync=fsync, chaos=chaos
         )
@@ -781,7 +785,7 @@ class ManagedStudy:
         """Durable-state summary of the study."""
         with self.lock:
             study = self.study
-            best = study.best_trial()
+            best = study.result.best_trial()
             return {
                 "name": self.spec.name,
                 "solver": self.spec.solver,

@@ -91,6 +91,12 @@ class _StubChecker:
     def satisfaction_probability(self, config):
         return 1.0 if config["x"] <= self.threshold else 0.1
 
+    def indicator_batch(self, configs):
+        return np.array([self.indicator(c) for c in configs])
+
+    def satisfaction_probability_batch(self, configs):
+        return np.array([self.satisfaction_probability(c) for c in configs])
+
 
 @pytest.fixture
 def fitted_gp():

@@ -75,9 +75,9 @@ def test_scheduled_surrogate_reproduces_seed_path(
 
     original_propose = BayesianOptimizer.propose
 
-    def fresh_gp_propose(self, state, rng):
+    def fresh_gp_propose(self, state, rng, pending=()):
         self._gp = None  # seed semantics: no surrogate persistence
-        return original_propose(self, state, rng)
+        return original_propose(self, state, rng, pending)
 
     monkeypatch.setattr(BayesianOptimizer, "propose", fresh_gp_propose)
     seed_path = setup.run(

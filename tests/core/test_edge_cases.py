@@ -12,28 +12,38 @@ from repro.experiments.setup import quick_setup
 from repro.space.presets import mnist_space
 
 
-class _RejectEverything:
+class _ConstantChecker:
+    """A checker giving every config the same verdict and prediction."""
+
+    accept = True
+    power_w = 1.0
+
+    def indicator(self, config):
+        return self.accept
+
+    def predictions(self, config):
+        return self.power_w, None
+
+    def screen_batch(self, configs):
+        n = len(configs)
+        return np.full(n, self.accept), [self.power_w] * n, None
+
+    def indicator_batch(self, configs):
+        return np.full(len(configs), self.accept)
+
+    def satisfaction_probability_batch(self, configs):
+        return np.full(len(configs), float(self.accept))
+
+
+class _RejectEverything(_ConstantChecker):
     """A checker whose indicator never passes (degenerate budgets)."""
 
-    def indicator(self, config):
-        return False
-
-    def satisfaction_probability(self, config):
-        return 0.0
-
-    def predictions(self, config):
-        return 999.0, None
+    accept = False
+    power_w = 999.0
 
 
-class _AcceptEverything:
-    def indicator(self, config):
-        return True
-
-    def satisfaction_probability(self, config):
-        return 1.0
-
-    def predictions(self, config):
-        return 1.0, None
+class _AcceptEverything(_ConstantChecker):
+    pass
 
 
 class TestScreeningExhaustion:

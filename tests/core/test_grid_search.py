@@ -72,6 +72,10 @@ class TestScreenedGrid:
         def predictions(self, config):
             return float(config["features"]), None
 
+        def screen_batch(self, configs):
+            accept = np.array([self.indicator(c) for c in configs])
+            return accept, [self.predictions(c)[0] for c in configs], None
+
     def test_screening_records_rejections(self, space):
         method = GridSearch(space, resolution=3, checker=self._EvenFeaturesChecker())
         rng = np.random.default_rng(4)

@@ -179,9 +179,11 @@ class TestResultMetadata:
         objective = setup.new_objective(12)
         driver = HyperPower(objective, method, "hyperpower")
         result = driver.run(np.random.default_rng(12), max_evaluations=5)
-        best = driver.best_configuration(result)
+        best = result.best_trial()
         assert best is not None
-        assert setup.space.contains(best)
+        assert best.counts_for_best and best.feasible_meas is not False
+        assert best.error == result.best_feasible_error
+        assert setup.space.contains(best.config)
 
     def test_timestamps_monotone(self, setup):
         result = setup.run("Rand", "hyperpower", run_seed=13, max_evaluations=4)

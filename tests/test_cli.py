@@ -170,6 +170,11 @@ class TestCommands:
                          id="timeout"),
             pytest.param(["--backend", "serial", "--backoff-factor", "0.5"],
                          id="backoff-factor"),
+            pytest.param(["--backend", "serial", "--scheduler", "async",
+                          "--rungs", "2", "--brackets", "5"], id="brackets"),
+            pytest.param(["--backend", "serial", "--scheduler", "async",
+                          "--rungs", "3", "--min-epochs", "100"],
+                         id="min-epochs"),
         ],
     )
     def test_run_rejects_bad_hours(self, monkeypatch, flags):

@@ -1,5 +1,6 @@
 """Tests for repro.io (run serialization)."""
 
+import dataclasses
 import json
 import math
 
@@ -8,10 +9,13 @@ import pytest
 
 from repro.core.faults import CRASH, NAN_LOSS, TIMEOUT
 from repro.core.objective import EvaluationOutcome
+from repro.core.parallel import PoolOutcome
 from repro.core.result import RunResult, Trial, TrialStatus
 from repro.hwsim.nvml import PowerTrace
 from repro.hwsim.profiler import HardwareMeasurement
 from repro.io import (
+    JournalReplay,
+    RunJournal,
     load_runs,
     measurement_from_dict,
     measurement_to_dict,
@@ -215,6 +219,72 @@ class TestOutcomeRoundtrip:
         assert clone.measurement is None
         assert clone.feasible_meas is None
         assert clone.measurement_failed
+
+
+def sample_outcome(epochs_run=30):
+    return EvaluationOutcome(
+        error=0.015,
+        final_error=0.017,
+        epochs_run=epochs_run,
+        stopped_early=False,
+        diverged=False,
+        measurement=sample_measurement(),
+        feasible_meas=True,
+        cost_s=612.5,
+    )
+
+
+class TestJournalFreshResults:
+    """A resumed pool reads back exactly the pool outcomes the run wrote."""
+
+    @pytest.mark.parametrize(
+        "written",
+        [
+            pytest.param(
+                PoolOutcome(sample_outcome(), cached=False, seed=11),
+                id="success",
+            ),
+            pytest.param(
+                PoolOutcome(
+                    None, cached=False, seed=12, attempts=3,
+                    faults=(CRASH, NAN_LOSS, TIMEOUT), failure_kind=TIMEOUT,
+                    retry_s=2101.25, backoff_s=180.0,
+                ),
+                id="failed",
+            ),
+            pytest.param(
+                PoolOutcome(
+                    sample_outcome(), cached=False, seed=13, attempts=2,
+                    faults=(CRASH,), retry_s=95.5, backoff_s=60.0,
+                ),
+                id="retried",
+            ),
+            pytest.param(
+                PoolOutcome(
+                    sample_outcome(epochs_run=6), cached=False, seed=14,
+                    epochs=9, start_epoch=3,
+                ),
+                id="rung-segment",
+            ),
+        ],
+    )
+    def test_fresh_results_are_the_written_pool_outcomes(self, tmp_path, written):
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, meta={}) as journal:
+            journal.append_round([], [written])
+        table = JournalReplay.load(path).fresh_results()
+        assert list(table) == [(written.seed, written.start_epoch)]
+        replayed = table[(written.seed, written.start_epoch)]
+        assert type(replayed) is PoolOutcome
+        assert dataclasses.replace(replayed, outcome=None) == dataclasses.replace(
+            written, outcome=None
+        )
+        if written.outcome is None:
+            assert replayed.outcome is None
+        else:
+            assert outcome_to_dict(replayed.outcome) == outcome_to_dict(
+                written.outcome
+            )
 
 
 class TestFiles:
