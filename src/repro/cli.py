@@ -382,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate-switch-at", type=int, default=1000,
                    help="observation count at which --surrogate auto "
                         "switches from the exact to the sparse tier")
-    p.add_argument("--backend", default=None,
-                   choices=["serial", "thread", "process"],
-                   help="evaluate accepted proposals through an "
+    p.add_argument("--backend", default=None, choices=["serial"],
+                   help="evaluate accepted proposals through the in-process "
                         "EvaluationPool (default: paper's sequential loop)")
     p.add_argument("--workers", type=int, default=1,
-                   help="concurrent trainings per round (with --backend)")
+                   help="simulated concurrent trainings per round "
+                        "(with --backend)")
     p.add_argument("--scheduler", default="sync", choices=["sync", "async"],
                    help="'sync' (default): round-barrier loop, byte-identical "
                         "to prior releases; 'async': event-driven scheduler "
@@ -410,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="widen the BO solvers' random initial design (and "
                         "the rung-0 cell under --rungs) to this many "
                         "trials; 0 keeps the method default")
-    p.add_argument("--fantasy", default="cl-min",
-                   choices=["cl-min", "cl-mean", "none"],
-                   help="constant-liar strategy the BO solvers use for "
-                        "in-flight trials under --scheduler async")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the config-hash trial cache (with --backend)")
     p.add_argument("--warm-cache", action="store_true",

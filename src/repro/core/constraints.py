@@ -16,6 +16,8 @@ budgets?" coexist in the framework:
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -52,12 +54,16 @@ class ConstraintSpec:
     latency_budget_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.power_budget_w is not None and self.power_budget_w <= 0:
-            raise ValueError("power budget must be positive")
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
-            raise ValueError("memory budget must be positive")
-        if self.latency_budget_s is not None and self.latency_budget_s <= 0:
-            raise ValueError("latency budget must be positive")
+        for name in ("power_budget_w", "memory_budget_bytes", "latency_budget_s"):
+            value = getattr(self, name)
+            # A NaN or infinite budget never binds, so every measurement
+            # would read feasible: a silently disabled constraint.
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0)
+            ):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     @property
     def is_unconstrained(self) -> bool:

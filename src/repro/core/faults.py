@@ -12,10 +12,10 @@ This module supplies the two pieces the evaluation engine needs:
 
 * :class:`FaultInjector` — a *deterministic* fault source.  Whether (and
   how) attempt ``a`` of the trial seeded ``s`` fails is a pure function of
-  ``(injector seed, s, a)``, independent of backend, worker scheduling and
+  ``(injector seed, s, a)``, independent of worker scheduling and
   wall-clock time.  That makes every failure mode reproducible in tests:
-  the serial, thread and process backends see byte-identical fault
-  sequences, and a resumed run replays the exact failures of the original.
+  re-runs see byte-identical fault sequences, and a resumed run replays
+  the exact failures of the original.
 * :class:`RetryPolicy` — per-trial simulated timeouts and bounded retries
   with exponential backoff, all charged to the simulated clock so the
   fixed-runtime protocol prices failure handling like everything else.
@@ -44,7 +44,6 @@ __all__ = [
     "STORAGE_FAULT_KINDS",
     "TrialFault",
     "FaultPlan",
-    "FaultEvent",
     "FaultRates",
     "FaultInjector",
     "StorageFaultRates",
@@ -79,19 +78,18 @@ class TrialFault(RuntimeError):
     Raised from inside
     :meth:`~repro.core.objective.NNObjective.evaluate_seeded` — for
     full-fidelity trials and rung segments alike — so the failure travels
-    the same path a real worker exception would; the pool's task wrapper
-    converts it into a :class:`FaultEvent` before it crosses an executor
-    boundary.
+    the same path a real worker exception would; the pool catches it and
+    charges the attempt (see :meth:`~repro.core.parallel.EvaluationPool.
+    _run_fresh`).
     """
 
     def __init__(self, kind: str, cost_s: float):
         super().__init__(f"injected fault: {kind}")
         self.kind = kind
-        #: Simulated time the failed attempt consumed before dying, s.
+        #: Simulated time the failed attempt consumed before dying, s.  For
+        #: hangs this is the *nominal* cost; the pool substitutes the
+        #: timeout charge, since only it knows when it would reap the worker.
         self.cost_s = float(cost_s)
-
-    def __reduce__(self):
-        return (TrialFault, (self.kind, self.cost_s))
 
 
 @dataclass(frozen=True)
@@ -103,18 +101,6 @@ class FaultPlan:
     #: Fraction of the attempt's nominal cost consumed before the fault
     #: strikes (crashes and OOMs die partway through a training).
     fraction: float
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """A failed attempt as reported back to the pool (picklable)."""
-
-    #: Fault kind (:data:`FAULT_KINDS` or :data:`TIMEOUT`).
-    kind: str
-    #: Simulated time the attempt consumed, s.  For hangs this is the
-    #: *nominal* cost; the pool substitutes the timeout charge, since only
-    #: it knows when it would have reaped the worker.
-    cost_s: float
 
 
 @dataclass(frozen=True)

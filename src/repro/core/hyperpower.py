@@ -109,7 +109,6 @@ def build_method(
         refit_every=run.gp_refit_every,
         warm_start=run.gp_warm_start,
         burn_in=run.gp_burn_in,
-        fantasy=run.fantasy,
         surrogate=run.surrogate,
         surrogate_features=run.surrogate_features,
         surrogate_switch_at=run.surrogate_switch_at,
@@ -174,9 +173,9 @@ class HyperPower:
 
         ``pool`` switches the driver to the batch-parallel engine: trials
         are evaluated through the pool (with deterministic per-trial
-        seeding and optional trial caching), up to ``pool.workers`` at a
-        time, and charge the clock q-parallel wall time — the ``max``
-        over concurrent trainings, not their sum.  ``pool=None`` keeps
+        seeding and optional trial caching), up to ``pool.workers``
+        simulated trainings at a time, and charge the clock q-parallel
+        wall time — the ``max`` over concurrent trainings, not their sum.  ``pool=None`` keeps
         the paper's sequential Figure 2 loop, bit-for-bit.
 
         ``telemetry`` (a :class:`~repro.telemetry.Telemetry` bundle)

@@ -58,13 +58,9 @@ __all__ = [
     "RandomWalk",
     "GridSearch",
     "BayesianOptimizer",
-    "FANTASIES",
 ]
 
 _log = logging.getLogger(__name__)
-
-#: Constant-liar strategies of :class:`BayesianOptimizer` for in-flight trials.
-FANTASIES = ("cl-min", "cl-mean", "none")
 
 
 @dataclass
@@ -534,14 +530,6 @@ class BayesianOptimizer(SearchMethod):
     burn_in:
         Trained observations past ``n_init`` after which a warm-started
         refit drops to a single restart.
-    fantasy:
-        How the asynchronous scheduler's in-flight trials condition the
-        surrogate: ``"cl-min"`` (constant liar at the incumbent error —
-        optimistic, spreads the batch), ``"cl-mean"`` (liar at the mean
-        observed error), or ``"none"`` (pending trials only excluded from
-        the candidate pool, never fantasized).  Fantasies are rank-1
-        appends onto a *copy* of the persistent surrogate, so the
-        synchronous path and the refit schedule are untouched.
     surrogate:
         Surrogate tier for the objective model: ``"exact"`` (the default —
         the exact GP, byte-identical to the seed path), ``"rff"`` (random
@@ -573,7 +561,6 @@ class BayesianOptimizer(SearchMethod):
         refit_every: int = 1,
         warm_start: bool = False,
         burn_in: int = 15,
-        fantasy: str = "cl-min",
         surrogate: str = "exact",
         surrogate_features: int = DEFAULT_FEATURES,
         surrogate_switch_at: int = DEFAULT_SWITCH_AT,
@@ -591,8 +578,6 @@ class BayesianOptimizer(SearchMethod):
             raise ValueError("refit_every must be >= 1")
         if gp_restarts < 0 or burn_in < 0:
             raise ValueError("gp_restarts and burn_in must be >= 0")
-        if fantasy not in FANTASIES:
-            raise ValueError("fantasy must be 'cl-min', 'cl-mean' or 'none'")
         if surrogate not in SURROGATE_TIERS:
             raise ValueError(
                 f"surrogate must be one of {SURROGATE_TIERS}, got {surrogate!r}"
@@ -614,7 +599,6 @@ class BayesianOptimizer(SearchMethod):
         self.refit_every = refit_every
         self.warm_start = warm_start
         self.burn_in = burn_in
-        self.fantasy = fantasy
         self.surrogate = surrogate
         self.surrogate_features = surrogate_features
         self.surrogate_switch_at = surrogate_switch_at
@@ -798,27 +782,23 @@ class BayesianOptimizer(SearchMethod):
     ) -> tuple[GaussianProcess, int]:
         """Condition a *copy* of the surrogate on lies for pending trials.
 
-        Constant-liar batch BO: each in-flight configuration is appended
-        with a fantasy observation (the incumbent error for ``cl-min``,
-        the mean observed error for ``cl-mean``), deflating EI around
-        points whose outcome is already being bought.  ``append`` rebinds
-        the posterior arrays rather than mutating them, so a shallow copy
-        leaves the persistent surrogate untouched.
+        Constant-liar batch BO (``cl-min``): each in-flight configuration
+        is appended with a fantasy observation at the incumbent error,
+        deflating EI around points whose outcome is already being bought.
+        Fantasies are rank-1 appends; ``append`` rebinds the posterior
+        arrays rather than mutating them, so a shallow copy leaves the
+        persistent surrogate, the synchronous path and the refit schedule
+        untouched.
         """
-        if not pending or self.fantasy == "none":
+        if not pending:
             return gp, 0
-        errors = np.asarray(state.trained_errors, dtype=float)
-        finite = errors[np.isfinite(errors)]
-        if self.fantasy == "cl-min":
-            lie = state.incumbent_error()
-            if lie is None:
-                lie = float(np.mean(errors))
-        else:
-            lie = float(np.mean(errors))
-        if not np.isfinite(lie):
+        lie = state.incumbent_error()
+        if lie is None or not np.isfinite(lie):
             # Degraded measurements can leave NaN in the error history; the
             # surrogate refuses non-finite appends, so fall back to the
             # finite mean — or skip fantasizing when nothing finite exists.
+            errors = np.asarray(state.trained_errors, dtype=float)
+            finite = errors[np.isfinite(errors)]
             if finite.size == 0:
                 return gp, 0
             lie = float(np.mean(finite))

@@ -157,8 +157,8 @@ class NNObjective:
         Unlike :meth:`evaluate`, this neither advances the clock nor
         consumes the objective's shared RNG stream: every noise source
         (training luck, sensor sampling) derives from ``seed``, so the same
-        ``(config, seed)`` pair yields a bit-identical outcome on any
-        worker — serial, thread, or a forked process.  The caller (the
+        ``(config, seed)`` pair yields a bit-identical outcome whenever and
+        in whatever order it runs.  The caller (the
         :class:`~repro.core.parallel.EvaluationPool` driver) owns the
         clock accounting.
 

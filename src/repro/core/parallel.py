@@ -1,18 +1,15 @@
-"""The batch-parallel evaluation engine.
+"""The evaluation engine: one in-process pool over simulated workers.
 
 HyperPower's economics (paper Section 3, Figure 2) put constraint checks
-at milliseconds and trainings at minutes; once screening is vectorised the
-remaining bottleneck is the trainings themselves.  This module parallelises
-them without giving up the framework's determinism guarantees:
+at milliseconds and trainings at minutes.  The q-parallel rounds and
+asynchronous workers are *simulated*: the pool trains each trial
+in-process, one at a time, and reports the simulated time it finishes,
+so ``workers`` is simulated concurrency that the driver charges to the
+clock, not an executor size.  Results stay deterministic:
 
-* :class:`EvaluationPool` dispatches accepted proposals to a configurable
-  worker backend — ``serial`` (in-process loop), ``thread``
-  (:class:`~concurrent.futures.ThreadPoolExecutor`) or ``process``
-  (:class:`~concurrent.futures.ProcessPoolExecutor`).  Every trial gets a
-  deterministic seed derived from the pool seed and a submission counter,
-  and is evaluated through
-  :meth:`~repro.core.objective.NNObjective.evaluate_seeded`, so all three
-  backends produce bit-identical outcomes in submission order.
+* :class:`EvaluationPool` gives every trial a deterministic seed derived
+  from the pool seed and a submission counter, and evaluates it through
+  :meth:`~repro.core.objective.NNObjective.evaluate_seeded`.
   :meth:`EvaluationPool.submit` is the one dispatch path: it resolves a
   trial segment (cache hit, duplicate of an in-flight segment, or fresh
   evaluation under the retry ladder) and queues its completion at the
@@ -36,7 +33,6 @@ import heapq
 import json
 import math
 from collections.abc import Mapping
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +41,6 @@ from ..telemetry.metrics import NOOP_METRICS
 from .faults import (
     HANG,
     TIMEOUT,
-    FaultEvent,
     FaultInjector,
     RetryPolicy,
     TrialFault,
@@ -55,16 +50,12 @@ from .fidelity import segment_seed
 from .objective import EvaluationOutcome, NNObjective
 
 __all__ = [
-    "BACKENDS",
     "canonical_config_key",
     "TrialCache",
     "PoolOutcome",
     "AsyncCompletion",
     "EvaluationPool",
 ]
-
-#: Supported worker backends, in increasing isolation order.
-BACKENDS = ("serial", "thread", "process")
 
 
 def _canonical_value(value):
@@ -333,58 +324,26 @@ class _Inflight:
     seed: int | None = None
 
 
-def _evaluate_task(
-    objective: NNObjective,
-    config: Mapping,
-    seed: int,
-    early_term: bool,
-    fault=None,
-    start_epoch: int = 0,
-    epochs: int | None = None,
-) -> EvaluationOutcome | FaultEvent:
-    """Module-level task body so the process backend can pickle it.
-
-    Injected faults raised by the objective are converted into plain
-    :class:`~repro.core.faults.FaultEvent` records here, *inside* the
-    worker, so no exception ever has to pickle across an executor
-    boundary.
-    """
-    try:
-        return objective.evaluate_seeded(
-            config,
-            seed,
-            early_term=early_term,
-            fault=fault,
-            start_epoch=start_epoch,
-            epochs=epochs,
-        )
-    except TrialFault as exc:
-        return FaultEvent(kind=exc.kind, cost_s=exc.cost_s)
-
-
 class EvaluationPool:
-    """Dispatch accepted proposals to a worker backend, deterministically.
+    """Dispatch accepted proposals to simulated workers, deterministically.
 
     Parameters
     ----------
     objective:
         The objective whose
         :meth:`~repro.core.objective.NNObjective.evaluate_seeded`
-        evaluates each trial.  For the ``process`` backend it must be
-        picklable (all simulator components are).
-    backend:
-        ``'serial'``, ``'thread'`` or ``'process'``.
+        evaluates each trial, in-process.
     workers:
-        ``q``, the number of concurrent trainings — both the executor's
-        worker count and the most segments :meth:`submit` keeps in flight.
+        ``q``, the number of simulated concurrent trainings: the most
+        segments :meth:`submit` keeps in flight.
     cache:
         Optional :class:`TrialCache`; ``None`` disables caching.
     seed:
         Root of the per-trial seed stream.  The ``i``-th fresh dispatch
         runs under ``SeedSequence([seed, i])``, so results are independent
-        of the backend and of worker scheduling.  Only fresh dispatches
-        count: a cache hit, a shared in-flight duplicate or a continuation
-        (which reuses its pinned seed) does not advance ``i``.
+        of worker scheduling.  Only fresh dispatches count: a cache hit,
+        a shared in-flight duplicate or a continuation (which reuses its
+        pinned seed) does not advance ``i``.
     injector:
         Optional deterministic :class:`~repro.core.faults.FaultInjector`.
         ``None`` (or an injector with all rates zero) leaves every code
@@ -398,21 +357,15 @@ class EvaluationPool:
     def __init__(
         self,
         objective: NNObjective,
-        backend: str = "serial",
         workers: int = 1,
         cache: TrialCache | None = None,
         seed: int = 0,
         injector: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.objective = objective
-        self.backend = backend
         self.workers = int(workers)
         self.cache = cache
         self.seed = int(seed)
@@ -424,7 +377,6 @@ class EvaluationPool:
         self.hits = 0
         self.misses = 0
         self._counter = 0
-        self._executor: Executor | None = None
         #: Asynchronous-mode state: a completion-ordered event heap keyed
         #: ``(finish_s, ticket)`` plus the in-flight fresh dispatches by
         #: canonical key (for duplicate sharing and deferred cache puts).
@@ -442,10 +394,9 @@ class EvaluationPool:
 
         Pool metrics record only deterministic quantities — lookup counts,
         dispatch waves, occupancy fractions — so snapshots are identical
-        across the serial/thread/process backends.  The ``pool.
-        retry_wait_s`` backoff counter is created lazily on the first
-        backoff charge, so fault-free runs snapshot exactly the metrics
-        they always did.
+        across re-runs.  The ``pool.retry_wait_s`` backoff counter is
+        created lazily on the first backoff charge, so fault-free runs
+        snapshot exactly the metrics they always did.
         """
         self._metrics = metrics
         self._m_cache_hits = metrics.counter("cache.hits")
@@ -470,28 +421,6 @@ class EvaluationPool:
         if self._m_retry_wait is None:
             self._m_retry_wait = self._metrics.counter("pool.retry_wait_s")
         self._m_retry_wait.inc(seconds)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            if self.backend == "thread":
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the executor down (no-op for the serial backend)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "EvaluationPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- evaluation ------------------------------------------------------------
 
@@ -540,8 +469,7 @@ class EvaluationPool:
 
         Every attempt's evaluation seed and fault plan are pure functions
         of the task's seed (see :meth:`_Task.attempt_seeds`), so the
-        outcome (including every failure) is identical on all three
-        backends.
+        outcome (including every failure) replays identically.
         """
         outcome = failure_kind = None
         attempts = 0
@@ -555,33 +483,26 @@ class EvaluationPool:
                 else None
             )
             self._m_dispatched.inc()
-            args = (
-                self.objective, task.config, eval_seed, early_term, fault,
-                task.start_epoch, task.epochs,
-            )
-            if self.backend == "serial":
-                res = _evaluate_task(*args)
-            else:
-                future = self._get_executor().submit(_evaluate_task, *args)
-                res = future.result()
             attempts += 1
-            event = None
-            if isinstance(res, FaultEvent):
-                charge = (
-                    self._hang_charge_s() if res.kind == HANG else res.cost_s
+            try:
+                res = self.objective.evaluate_seeded(
+                    task.config,
+                    eval_seed,
+                    early_term=early_term,
+                    fault=fault,
+                    start_epoch=task.start_epoch,
+                    epochs=task.epochs,
                 )
-                event = (res.kind, charge)
-            elif (
-                self.retry.timeout_s is not None
-                and res.cost_s > self.retry.timeout_s
-            ):
+            except TrialFault as exc:
+                kind = exc.kind
+                charge = self._hang_charge_s() if kind == HANG else exc.cost_s
+            else:
+                if self.retry.timeout_s is None or res.cost_s <= self.retry.timeout_s:
+                    outcome = res
+                    break
                 # Natural timeout: the evaluation would have outlived the
                 # per-trial deadline; the pool reaps it there.
-                event = (TIMEOUT, self.retry.timeout_s)
-            if event is None:
-                outcome = res
-                break
-            kind, charge = event
+                kind, charge = TIMEOUT, self.retry.timeout_s
             faults.append(kind)
             if attempts >= self.retry.max_attempts:
                 failure_kind = kind

@@ -20,8 +20,6 @@ from dataclasses import dataclass, fields
 from ..gp.sparse import SURROGATE_TIERS
 from .faults import FaultRates, RetryPolicy
 from .fidelity import FidelitySchedule
-from .methods import FANTASIES
-from .parallel import BACKENDS
 from .study import VARIANTS
 
 __all__ = ["SOLVERS", "METHOD_FIELDS", "RunSpec"]
@@ -32,14 +30,13 @@ SOLVERS = ("Rand", "Rand-Walk", "HW-CWEI", "HW-IECI")
 #: The fields :func:`~repro.core.hyperpower.build_method` reads.
 METHOD_FIELDS = (
     "sigma", "n_init", "pool_size", "gp_restarts", "gp_refit_every",
-    "gp_warm_start", "gp_burn_in", "fantasy", "surrogate",
-    "surrogate_features", "surrogate_switch_at", "scatter_init",
+    "gp_warm_start", "gp_burn_in", "surrogate", "surrogate_features",
+    "surrogate_switch_at", "scatter_init",
 )
 
 _CHOICES = {
-    "solver": SOLVERS, "variant": VARIANTS, "fantasy": FANTASIES,
-    "surrogate": SURROGATE_TIERS, "backend": BACKENDS,
-    "scheduler": ("sync", "async"),
+    "solver": SOLVERS, "variant": VARIANTS, "surrogate": SURROGATE_TIERS,
+    "backend": ("serial",), "scheduler": ("sync", "async"),
 }
 
 #: Lower bounds of the int fields; float fields must be finite and > 0.
@@ -78,7 +75,6 @@ class RunSpec:
     gp_refit_every: int = 1
     gp_warm_start: bool = False
     gp_burn_in: int = 15
-    fantasy: str = "cl-min"
     surrogate: str = "exact"
     surrogate_features: int = 256
     surrogate_switch_at: int = 1000
@@ -113,7 +109,7 @@ class RunSpec:
         if self.scheduler == "async" and self.backend is None:
             raise ValueError(
                 "scheduler 'async' requires a pool backend "
-                "(pass backend='serial'/'thread'/'process')"
+                "(pass backend='serial')"
             )
 
     @classmethod

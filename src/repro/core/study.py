@@ -567,11 +567,11 @@ class Study:
         evaluations).
 
         ``batch_t0`` is the simulated time at which the round's
-        evaluations started (before the wall-time charge).  Workers run
-        in other processes and cannot share the tracer, so the per-trial
-        ``trial > {retry, train, measure}`` spans are synthesized here
-        from each outcome's recorded costs — identical across the
-        serial/thread/process backends by construction.
+        evaluations started (before the wall-time charge).  The pool
+        evaluated each trial when it was submitted, outside this round's
+        span, so the per-trial ``trial > {retry, train, measure}`` spans
+        are synthesized here from each outcome's recorded costs — which
+        a resumed run replays from its journal identically.
 
         Failure semantics: a slot that exhausted its retry budget becomes
         a ``FAILED`` trial — no observation, nothing appended to the

@@ -258,9 +258,9 @@ class ExperimentSetup:
 
         ``options`` are the other :class:`~repro.core.spec.RunSpec`
         fields: the budgets, the method knobs, the pool and the
-        scheduler.  ``docs/api.md`` lists each with its rule.  The three
-        pool backends are seeded identically, so they yield the same
-        :class:`~repro.core.result.RunResult`.
+        scheduler.  ``docs/api.md`` lists each with its rule.  The pool
+        trains in-process; its ``workers`` are simulated concurrency,
+        charged to the simulated clock.
 
         Pass ``cache`` to share one :class:`TrialCache` across several runs
         (warm-cache replay: because runs are deterministic, re-running the
@@ -295,7 +295,6 @@ class ExperimentSetup:
                 cache = TrialCache()
             pool = EvaluationPool(
                 objective,
-                backend=run.backend,
                 workers=run.workers,
                 cache=cache,
                 seed=stream_seed(5),
@@ -348,8 +347,6 @@ class ExperimentSetup:
         finally:
             if run_journal is not None:
                 run_journal.close()
-            if pool is not None:
-                pool.close()
 
     @staticmethod
     def _open_journal(journal, resume_from, meta):

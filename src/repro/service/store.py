@@ -155,6 +155,7 @@ class StudySpec:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise InvalidParamsError(f"seed must be an int >= 0, got {seed!r}")
         try:
+            self.constraint_spec()
             RunSpec.for_method(self.solver, self.variant, self.method_options)
         except (TypeError, ValueError) as exc:
             raise InvalidParamsError(str(exc)) from None

@@ -5,8 +5,7 @@ time to the best feasible error — and this package makes those
 trajectories *observable*.  It is zero-dependency (stdlib only) and built
 around one invariant: every exported quantity except span ``wall_ms`` is
 a pure function of the run's seeds, so traces are byte-comparable across
-re-runs and across the serial/thread/process pool backends, and can be
-committed as golden regression fixtures.
+re-runs and can be committed as golden regression fixtures.
 
 * :mod:`~repro.telemetry.tracer` — hierarchical spans on the simulated
   clock (``run > round > {propose > {screen, gp_fit, gp_append,

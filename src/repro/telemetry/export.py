@@ -40,7 +40,7 @@ __all__ = [
 #: Format tag of the trace header line.
 TRACE_FORMAT = "repro-trace/1"
 
-#: Span fields that are *not* deterministic across re-runs/backends and
+#: Span fields that are *not* deterministic across re-runs and
 #: are therefore stripped before any trace comparison.
 NONDETERMINISTIC_FIELDS = ("wall_ms",)
 

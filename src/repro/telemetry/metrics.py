@@ -4,9 +4,8 @@ A :class:`MetricsRegistry` aggregates the *deterministic* health numbers
 of one optimization run — cache hit rates, screening rejections, GP
 refit-vs-append counts, retry/backoff time, pool occupancy.  Every value
 is derived from simulated quantities (counts and simulated seconds, never
-real wall time), so two identically-seeded runs — on any worker backend —
-snapshot byte-identical metrics; real-time diagnostics belong to span
-``wall_ms`` fields instead.
+real wall time), so two identically-seeded runs snapshot byte-identical
+metrics; real-time diagnostics belong to span ``wall_ms`` fields instead.
 
 The registry is snapshot onto :attr:`~repro.core.result.RunResult.
 telemetry` at the end of a traced run and dumpable via the CLI's

@@ -7,7 +7,7 @@ buffer until the run exports them:
 
 * ``t0_s``/``t1_s`` — *simulated* seconds read from the run's
   :class:`~repro.core.clock.SimClock`.  These are deterministic: two
-  identically-seeded runs (on any worker backend) emit byte-identical
+  identically-seeded runs (any worker count) emit byte-identical
   simulated timelines, which is what the golden-run regression suite
   pins.
 * ``wall_ms`` — *real* elapsed milliseconds of the instrumented code.
@@ -164,8 +164,8 @@ class Tracer:
 
         Used to *synthesize* spans whose phases did not run under a live
         ``with`` block — e.g. the per-trial train/measure/retry intervals
-        of a pooled batch, which execute concurrently on workers and are
-        reconstructed from their outcomes.  ``parent`` defaults to the
+        of a pooled batch, which run concurrently on simulated workers and
+        are reconstructed from their outcomes.  ``parent`` defaults to the
         innermost open span.  Returns the new span's id so children can
         be attached to it.
 

@@ -32,17 +32,6 @@ def golden_dir():
 
 
 @pytest.fixture(scope="session")
-def fault_backend():
-    """Worker backend for the fault-injection stress tests.
-
-    CI's faults job runs the ``-m faults`` selection once per backend by
-    setting ``FAULTS_BACKEND``; locally the serial backend keeps the
-    default run fast.
-    """
-    return os.environ.get("FAULTS_BACKEND", "serial")
-
-
-@pytest.fixture(scope="session")
 def service_backend():
     """Transport for the study-service tests.
 
@@ -65,15 +54,3 @@ def chaos_seed():
     the chaos-driven service bit-identical to its fault-free twin.
     """
     return int(os.environ.get("CHAOS_SEED", "0"))
-
-
-@pytest.fixture(scope="session")
-def telemetry_backend():
-    """Worker backend for the pooled golden-trace tests.
-
-    CI's telemetry job runs the ``-m telemetry`` selection once per
-    backend by setting ``TELEMETRY_BACKEND``; the committed goldens were
-    generated on the serial backend, so passing under every backend *is*
-    the cross-backend trace-identity guarantee.
-    """
-    return os.environ.get("TELEMETRY_BACKEND", "serial")

@@ -10,12 +10,7 @@ Three invariant families guard the async path:
 * *crash safety* — an async run killed mid-flight resumes bit-identically
   from its journal (completion-ordered rounds, seed-keyed substitution),
   including under fault injection with retry/backoff waves.
-
-The cross-backend tests honour ``ASYNC_BACKEND`` (serial/thread/process),
-mirroring the fault and telemetry suites' matrix lanes.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -25,11 +20,10 @@ from hypothesis import strategies as st
 from repro.core.faults import FaultRates, RetryPolicy
 from repro.core.methods import BayesianOptimizer, RandomSearch
 from repro.core.parallel import EvaluationPool, TrialCache
+from repro.core.spec import RunSpec
 from repro.experiments.setup import quick_setup
 from repro.io import run_to_dict
 from repro.telemetry import Telemetry
-
-ASYNC_BACKEND = os.environ.get("ASYNC_BACKEND", "serial")
 
 pytestmark = pytest.mark.async_sched
 
@@ -59,85 +53,79 @@ class TestEventQueue:
         rng = np.random.default_rng(seed)
         objective = setup.new_objective(int(seed) % 1000)
         configs = setup.space.sample_many(n_trials, rng)
-        with EvaluationPool(
-            objective, backend="serial", workers=workers,
+        pool = EvaluationPool(
+            objective, workers=workers,
             cache=TrialCache(), seed=int(seed) % 97,
-        ) as pool:
-            now = 0.0
-            submitted = 0
-            last_finish = -np.inf
-            last_ticket = -1
-            while submitted < n_trials or pool.n_inflight:
-                free = pool.n_inflight < workers and submitted < n_trials
-                if free and (not pool.n_inflight or rng.random() < 0.6):
-                    pool.submit(
-                        configs[submitted], now, cache_lookup_s=0.01
-                    )
-                    submitted += 1
-                    continue
-                done = pool.next_completion()
-                assert done.finish_s >= last_finish
-                if done.finish_s == last_finish:
-                    # Simultaneous finishes pop in submission order.
-                    assert done.ticket > last_ticket
-                assert done.finish_s >= now
-                last_finish, last_ticket = done.finish_s, done.ticket
-                now = max(now, done.finish_s)
+        )
+        now = 0.0
+        submitted = 0
+        last_finish = -np.inf
+        last_ticket = -1
+        while submitted < n_trials or pool.n_inflight:
+            free = pool.n_inflight < workers and submitted < n_trials
+            if free and (not pool.n_inflight or rng.random() < 0.6):
+                pool.submit(
+                    configs[submitted], now, cache_lookup_s=0.01
+                )
+                submitted += 1
+                continue
+            done = pool.next_completion()
+            assert done.finish_s >= last_finish
+            if done.finish_s == last_finish:
+                # Simultaneous finishes pop in submission order.
+                assert done.ticket > last_ticket
+            assert done.finish_s >= now
+            last_finish, last_ticket = done.finish_s, done.ticket
+            now = max(now, done.finish_s)
 
     def test_ties_break_by_ticket(self, setup):
         """Identical finish times pop in submission-ticket order."""
         objective = setup.new_objective(0)
         rng = np.random.default_rng(0)
         config = setup.space.sample(rng)
-        with EvaluationPool(
-            objective, backend="serial", workers=4, cache=TrialCache(),
-        ) as pool:
-            first = pool.submit(config, 0.0, cache_lookup_s=0.01)
-            done = pool.next_completion()
-            assert done.ticket == first and not done.outcome.cached
-            # Three cache hits of the now-cached config, all submitted at
-            # the same instant: identical finish_s, tickets 1 < 2 < 3.
-            t = done.finish_s
-            tickets = [
-                pool.submit(config, t, cache_lookup_s=0.01)
-                for _ in range(3)
-            ]
-            pops = [pool.next_completion() for _ in range(3)]
-            assert [p.ticket for p in pops] == tickets
-            assert len({p.finish_s for p in pops}) == 1
-            assert all(p.outcome.cached for p in pops)
+        pool = EvaluationPool(objective, workers=4, cache=TrialCache())
+        first = pool.submit(config, 0.0, cache_lookup_s=0.01)
+        done = pool.next_completion()
+        assert done.ticket == first and not done.outcome.cached
+        # Three cache hits of the now-cached config, all submitted at
+        # the same instant: identical finish_s, tickets 1 < 2 < 3.
+        t = done.finish_s
+        tickets = [
+            pool.submit(config, t, cache_lookup_s=0.01)
+            for _ in range(3)
+        ]
+        pops = [pool.next_completion() for _ in range(3)]
+        assert [p.ticket for p in pops] == tickets
+        assert len({p.finish_s for p in pops}) == 1
+        assert all(p.outcome.cached for p in pops)
 
     def test_duplicate_of_inflight_waits_for_original(self, setup):
         """A duplicate submit shares the in-flight result, after it."""
         objective = setup.new_objective(1)
         config = setup.space.sample(np.random.default_rng(1))
-        with EvaluationPool(
-            objective, backend="serial", workers=2, cache=TrialCache(),
-        ) as pool:
-            pool.submit(config, 0.0, cache_lookup_s=0.01)
-            pool.submit(config, 0.0, cache_lookup_s=0.01)
-            original = pool.next_completion()
-            dup = pool.next_completion()
-            assert not original.outcome.cached
-            assert dup.outcome.cached
-            assert dup.finish_s == pytest.approx(original.finish_s + 0.01)
-            assert dup.outcome.outcome.error == original.outcome.outcome.error
-            assert pool.hits == 1 and pool.misses == 1
+        pool = EvaluationPool(objective, workers=2, cache=TrialCache())
+        pool.submit(config, 0.0, cache_lookup_s=0.01)
+        pool.submit(config, 0.0, cache_lookup_s=0.01)
+        original = pool.next_completion()
+        dup = pool.next_completion()
+        assert not original.outcome.cached
+        assert dup.outcome.cached
+        assert dup.finish_s == pytest.approx(original.finish_s + 0.01)
+        assert dup.outcome.outcome.error == original.outcome.outcome.error
+        assert pool.hits == 1 and pool.misses == 1
 
     def test_worker_limit_enforced(self, setup):
         objective = setup.new_objective(2)
         rng = np.random.default_rng(2)
-        with EvaluationPool(
-            objective, backend="serial", workers=2, cache=TrialCache(),
-        ) as pool:
+        pool = EvaluationPool(objective, workers=2, cache=TrialCache())
+        pool.submit(setup.space.sample(rng), 0.0)
+        pool.submit(setup.space.sample(rng), 0.0)
+        with pytest.raises(RuntimeError, match="workers are busy"):
             pool.submit(setup.space.sample(rng), 0.0)
-            pool.submit(setup.space.sample(rng), 0.0)
-            with pytest.raises(RuntimeError, match="workers are busy"):
-                pool.submit(setup.space.sample(rng), 0.0)
-            pool.next_completion()
-            pool.submit(setup.space.sample(rng), 0.0)
+        pool.next_completion()
+        pool.submit(setup.space.sample(rng), 0.0)
         with pytest.raises(RuntimeError, match="no trials in flight"):
-            EvaluationPool(objective, backend="serial").next_completion()
+            EvaluationPool(objective).next_completion()
 
 
 # -- pending-aware proposals -----------------------------------------------------
@@ -171,25 +159,17 @@ class TestPendingAwareProposals:
         # The persistent surrogate must not have absorbed the lies.
         assert method._gp.n_observations == 4
 
-    def test_bo_fantasy_none_skips_liar(self, setup):
-        from repro.core.acquisition import ExpectedImprovement
-
-        method = BayesianOptimizer(
-            setup.space, ExpectedImprovement(), n_init=2, pool_size=50,
-            fantasy="none",
-        )
-        state = _trained_state(setup, n=4)
-        pending = setup.space.sample_many(2, np.random.default_rng(11))
-        proposal = method.propose(state, np.random.default_rng(3), pending)
-        assert proposal.gp_fantasies == 0
-
     def test_bo_rejects_unknown_fantasy(self, setup):
+        # The constant liar at the incumbent (cl-min) is the only fantasy:
+        # the option is gone from the optimizer and from the run spec.
         from repro.core.acquisition import ExpectedImprovement
 
-        with pytest.raises(ValueError, match="fantasy"):
+        with pytest.raises(TypeError, match="fantasy"):
             BayesianOptimizer(
-                setup.space, ExpectedImprovement(), fantasy="kriging"
+                setup.space, ExpectedImprovement(), fantasy="cl-mean"
             )
+        with pytest.raises(ValueError, match="fantasy is not a method option"):
+            RunSpec.for_method("HW-IECI", "hyperpower", {"fantasy": "cl-min"})
 
 
 def _trained_state(setup, n):
@@ -216,14 +196,14 @@ class TestSyncEquivalence:
     def test_one_worker_matches_sync_trial_for_trial(
         self, setup, solver, variant
     ):
-        kw = dict(backend=ASYNC_BACKEND, workers=1, max_evaluations=6)
+        kw = dict(backend="serial", workers=1, max_evaluations=6)
         sync = setup.run(solver, variant, **kw)
         asynchronous = setup.run(solver, variant, scheduler="async", **kw)
         assert run_to_dict(sync) == run_to_dict(asynchronous)
 
     def test_async_multiworker_hits_eval_budget(self, setup):
         result = setup.run(
-            "HW-IECI", "hyperpower", backend=ASYNC_BACKEND, workers=4,
+            "HW-IECI", "hyperpower", backend="serial", workers=4,
             max_evaluations=10, scheduler="async",
         )
         assert result.n_trained == 10
@@ -261,7 +241,7 @@ class TestAsyncResume:
     @pytest.mark.parametrize("keep_rounds", [0, 3, 7])
     def test_kill_and_resume_bit_exact(self, setup, tmp_path, keep_rounds):
         kw = dict(
-            backend=ASYNC_BACKEND, workers=4, max_evaluations=10,
+            backend="serial", workers=4, max_evaluations=10,
             scheduler="async",
         )
         full_path = tmp_path / "full.jsonl"
@@ -277,7 +257,7 @@ class TestAsyncResume:
     def test_kill_and_resume_with_faults(self, setup, tmp_path):
         """Retry waves and backoff charges journal and resume exactly."""
         kw = dict(
-            backend=ASYNC_BACKEND, workers=3, max_evaluations=8,
+            backend="serial", workers=3, max_evaluations=8,
             scheduler="async",
             faults=FaultRates(crash=0.15, hang=0.05, nan_loss=0.1, nvml=0.1),
             retry=RetryPolicy(max_attempts=3, timeout_s=4000.0),
@@ -292,7 +272,7 @@ class TestAsyncResume:
         assert part_path.read_bytes() == full_path.read_bytes()
 
     def test_resume_rejects_scheduler_mismatch(self, setup, tmp_path):
-        kw = dict(backend=ASYNC_BACKEND, workers=2, max_evaluations=4)
+        kw = dict(backend="serial", workers=2, max_evaluations=4)
         path = tmp_path / "sync.jsonl"
         setup.run("Rand", "default", journal=path, **kw)
         with pytest.raises(ValueError, match="different .*parameters"):
@@ -308,7 +288,7 @@ class TestOccupancyAccounting:
     def test_backoff_lands_on_retry_wait_not_occupancy(self, setup):
         telemetry = Telemetry()
         result = setup.run(
-            "Rand", "hyperpower", backend=ASYNC_BACKEND, workers=2,
+            "Rand", "hyperpower", backend="serial", workers=2,
             max_evaluations=6, scheduler="async", telemetry=telemetry,
             faults=FaultRates(crash=0.3),
             retry=RetryPolicy(max_attempts=4, backoff_base_s=120.0),
@@ -325,7 +305,7 @@ class TestOccupancyAccounting:
     def test_retry_wait_absent_without_faults(self, setup):
         telemetry = Telemetry()
         setup.run(
-            "Rand", "default", backend=ASYNC_BACKEND, workers=2,
+            "Rand", "default", backend="serial", workers=2,
             max_evaluations=4, scheduler="async", telemetry=telemetry,
         )
         snap = telemetry.metrics.snapshot()
@@ -340,14 +320,14 @@ class TestOccupancyAccounting:
         injector = FaultInjector(FaultRates(crash=0.5), seed=123)
         retry = RetryPolicy(max_attempts=4, backoff_base_s=60.0)
         rng = np.random.default_rng(5)
-        with EvaluationPool(
-            objective, backend="serial", workers=1, injector=injector,
+        pool = EvaluationPool(
+            objective, workers=1, injector=injector,
             retry=retry,
-        ) as pool:
-            outcomes = []
-            for config in setup.space.sample_many(12, rng):
-                pool.submit(config, 0.0)
-                outcomes.extend(pool.drain())
+        )
+        outcomes = []
+        for config in setup.space.sample_many(12, rng):
+            pool.submit(config, 0.0)
+            outcomes.extend(pool.drain())
         retried = [o for o in outcomes if o.attempts > 1 or o.failed]
         assert retried, "expected at least one retry wave at crash=0.5"
         for outcome in outcomes:

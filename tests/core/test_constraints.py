@@ -35,6 +35,25 @@ class TestConstraintSpec:
         with pytest.raises(ValueError):
             ConstraintSpec(memory_budget_bytes=0.0)
 
+    @pytest.mark.parametrize(
+        "budget, value",
+        [
+            ("power_budget_w", float("nan")),
+            ("power_budget_w", float("-inf")),
+            ("memory_budget_bytes", float("inf")),
+            ("latency_budget_s", True),
+            ("power_budget_w", "abc"),
+        ],
+    )
+    def test_refuses_budgets_that_never_bind(self, budget, value):
+        # A NaN or infinite budget would judge every measurement feasible.
+        with pytest.raises(ValueError, match=budget):
+            ConstraintSpec(**{budget: value})
+
+    def test_accepts_numpy_budgets(self):
+        spec = ConstraintSpec(power_budget_w=np.float64(85.0))
+        assert not spec.measured_feasible(90.0, None)
+
     def test_unconstrained(self):
         assert ConstraintSpec().is_unconstrained
         assert not ConstraintSpec(power_budget_w=85.0).is_unconstrained

@@ -1,7 +1,7 @@
 """Fault injection, retry policy, and failure semantics of the pool.
 
 The contract under test: faults are a pure function of seeds (identical
-on every backend, byte-identical no-op when disabled), retries and
+on every re-run, byte-identical no-op when disabled), retries and
 backoff are charged to the simulated clock, exhausted budgets become
 FAILED trials instead of exceptions, and failed measurements degrade to
 the predictive models without poisoning the trial cache.
@@ -25,7 +25,6 @@ from repro.core.faults import (
     FaultInjector,
     FaultRates,
     RetryPolicy,
-    TrialFault,
     retry_seed,
 )
 from repro.core.parallel import EvaluationPool
@@ -89,15 +88,6 @@ class TestRetryPolicy:
             policy.backoff_s(0)
 
 
-class TestTrialFault:
-    def test_pickles(self):
-        import pickle
-
-        fault = TrialFault(CRASH, cost_s=12.5)
-        clone = pickle.loads(pickle.dumps(fault))
-        assert clone.kind == CRASH and clone.cost_s == 12.5
-
-
 # -- the injector ------------------------------------------------------------------
 
 
@@ -151,11 +141,10 @@ class TestRetrySeed:
 # -- pool-level failure semantics --------------------------------------------------
 
 
-def _make_pool(setup, rates, retry=None, backend="serial", workers=2, seed=0):
+def _make_pool(setup, rates, retry=None, workers=2, seed=0):
     objective = setup.new_objective(0)
     return EvaluationPool(
         objective,
-        backend=backend,
         workers=workers,
         seed=seed,
         injector=FaultInjector(rates, seed=seed),
@@ -217,7 +206,6 @@ class TestPoolFailureSemantics:
         objective = setup.new_objective(0)
         pool = EvaluationPool(
             objective,
-            backend="serial",
             seed=0,
             injector=FaultInjector(FaultRates(hang=1.0), seed=0, hang_s=777.0),
             retry=RetryPolicy(max_attempts=1),
@@ -240,7 +228,6 @@ class TestPoolFailureSemantics:
         cache = TrialCache()
         pool = EvaluationPool(
             objective,
-            backend="serial",
             seed=0,
             cache=cache,
             injector=FaultInjector(FaultRates(nvml=1.0), seed=0),
@@ -255,7 +242,6 @@ class TestPoolFailureSemantics:
         cache = TrialCache()
         pool = EvaluationPool(
             objective,
-            backend="serial",
             workers=2,
             seed=0,
             cache=cache,
@@ -277,23 +263,21 @@ class TestPoolFailureSemantics:
 
 @pytest.mark.faults
 class TestDriverUnderFaults:
-    def test_zero_rates_are_a_strict_noop(self, setup, fault_backend):
+    def test_zero_rates_are_a_strict_noop(self, setup):
         base = setup.run(
             "Rand", "hyperpower", run_seed=3, max_evaluations=8,
-            backend=fault_backend, workers=2,
+            backend="serial", workers=2,
         )
         zero = setup.run(
             "Rand", "hyperpower", run_seed=3, max_evaluations=8,
-            backend=fault_backend, workers=2, faults=FaultRates(),
+            backend="serial", workers=2, faults=FaultRates(),
             retry=RetryPolicy(max_attempts=5, timeout_s=None),
         )
         assert json.dumps(run_to_dict(base), sort_keys=True) == json.dumps(
             run_to_dict(zero), sort_keys=True
         )
 
-    def test_acceptance_run_survives_five_percent_faults(
-        self, setup, fault_backend
-    ):
+    def test_acceptance_run_survives_five_percent_faults(self, setup):
         """ISSUE acceptance: 5% crash + 5% NaN completes without raising,
         records FAILED trials with their retry/backoff charges, and still
         finds a feasible incumbent.
@@ -305,7 +289,7 @@ class TestDriverUnderFaults:
         retry = RetryPolicy(max_attempts=2, backoff_base_s=60.0)
         result = setup.run(
             "Rand", "hyperpower", run_seed=3, max_evaluations=12,
-            backend=fault_backend, workers=2,
+            backend="serial", workers=2,
             faults=FaultRates(crash=0.05, nan_loss=0.05), fault_seed=13,
             retry=retry,
         )
@@ -323,10 +307,10 @@ class TestDriverUnderFaults:
                 assert trial.cost_s > trial.retry_s
         assert result.retry_time_s > 0.0
 
-    def test_failed_trials_are_recorded_not_raised(self, setup, fault_backend):
+    def test_failed_trials_are_recorded_not_raised(self, setup):
         result = setup.run(
             "Rand", "hyperpower", run_seed=3, max_evaluations=8,
-            backend=fault_backend, workers=2,
+            backend="serial", workers=2,
             faults=FaultRates(crash=0.5, nan_loss=0.2), fault_seed=3,
             retry=RetryPolicy(max_attempts=2, backoff_base_s=60.0),
         )
@@ -345,12 +329,10 @@ class TestDriverUnderFaults:
         assert result.n_trained == 8
         assert result.n_samples >= 8 + len(failed)
 
-    def test_degraded_trials_fall_back_to_model_predictions(
-        self, setup, fault_backend
-    ):
+    def test_degraded_trials_fall_back_to_model_predictions(self, setup):
         result = setup.run(
             "Rand", "hyperpower", run_seed=3, max_evaluations=8,
-            backend=fault_backend, workers=2,
+            backend="serial", workers=2,
             faults=FaultRates(nvml=1.0),
         )
         degraded = [t for t in result.trials if t.measurement_degraded]
@@ -362,12 +344,10 @@ class TestDriverUnderFaults:
             assert trial.latency_meas_s is None
             assert trial.feasible_meas is not None  # hyperpower has models
 
-    def test_default_variant_degrades_to_unknown_feasibility(
-        self, setup, fault_backend
-    ):
+    def test_default_variant_degrades_to_unknown_feasibility(self, setup):
         result = setup.run(
             "Rand", "default", run_seed=3, max_evaluations=6,
-            backend=fault_backend, workers=2,
+            backend="serial", workers=2,
             faults=FaultRates(nvml=1.0),
         )
         degraded = [t for t in result.trials if t.measurement_degraded]
@@ -377,35 +357,30 @@ class TestDriverUnderFaults:
         assert all(t.feasible_meas is None for t in degraded)
 
     @pytest.mark.slow
-    def test_backends_agree_under_faults(self, setup):
-        """ISSUE acceptance: same fault seed, three backends, identical
-        RunResults — FAILED trials and retry accounting included."""
+    def test_every_fault_kind_at_once_yields_failed_trials(self, setup):
+        """All five fault kinds drawn together: FAILED trials are recorded
+        in the run's serialized trials."""
         rates = FaultRates(
             crash=0.3, hang=0.1, nan_loss=0.1, oom=0.1, nvml=0.1
         )
-        docs = {}
-        for backend in ("serial", "thread", "process"):
-            result = setup.run(
-                "Rand", "hyperpower", run_seed=5, max_evaluations=8,
-                backend=backend, workers=3, faults=rates, fault_seed=11,
-                retry=RetryPolicy(max_attempts=3),
-            )
-            docs[backend] = json.dumps(run_to_dict(result), sort_keys=True)
-        assert docs["serial"] == docs["thread"] == docs["process"]
-        parsed = json.loads(docs["serial"])
-        statuses = {t["status"] for t in parsed["trials"]}
+        result = setup.run(
+            "Rand", "hyperpower", run_seed=5, max_evaluations=8,
+            backend="serial", workers=3, faults=rates, fault_seed=11,
+            retry=RetryPolicy(max_attempts=3),
+        )
+        statuses = {t["status"] for t in run_to_dict(result)["trials"]}
         assert "failed" in statuses, "rates chosen to force FAILED trials"
 
 
 #: Pin of the round-barrier pool path under faults, cache hits, retries
 #: and mixed rounds: a cold run and then a warm run on the same cache must
-#: match it byte for byte on every backend.
+#: match it byte for byte.
 COLD_WARM_FIXTURE = (
     Path(__file__).parent / "data" / "sync_faults_cold_warm.json"
 )
 
 
-def _cold_warm_payload(setup, backend) -> str:
+def _cold_warm_payload(setup) -> str:
     """Two Rand/default runs sharing one cache: cold, then warm."""
     from repro.core.parallel import TrialCache
     from repro.telemetry import Telemetry
@@ -416,7 +391,7 @@ def _cold_warm_payload(setup, backend) -> str:
         telemetry = Telemetry()
         result = setup.run(
             "Rand", "default", run_seed=3, max_evaluations=12,
-            backend=backend, workers=3, cache=cache,
+            backend="serial", workers=3, cache=cache,
             faults=FaultRates(crash=0.3, nvml=0.1), fault_seed=5,
             retry=RetryPolicy(max_attempts=3), telemetry=telemetry,
         )
@@ -428,8 +403,8 @@ def _cold_warm_payload(setup, backend) -> str:
 
 
 @pytest.mark.faults
-def test_sync_pool_cold_then_warm_matches_fixture(setup, fault_backend):
-    payload = _cold_warm_payload(setup, fault_backend)
+def test_sync_pool_cold_then_warm_matches_fixture(setup):
+    payload = _cold_warm_payload(setup)
     warm = json.loads(payload)["warm"]["run"]["trials"]
     assert sum(t["status"] == "cached" for t in warm) == 10
     assert payload == COLD_WARM_FIXTURE.read_text(encoding="utf-8")

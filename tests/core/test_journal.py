@@ -207,17 +207,35 @@ class TestResume:
                 backend="serial", workers=2, resume_from=path,
             )
 
+    def test_resume_of_a_removed_backend_is_rejected(self, setup, tmp_path):
+        # Journals written by the removed thread and process pools name
+        # their backend in the header; they are refused, not re-run
+        # under another one.
+        path = tmp_path / "thread.jsonl"
+        setup.run(
+            "Rand", "hyperpower", run_seed=2, max_evaluations=4,
+            backend="serial", workers=2, journal=path,
+        )
+        header, _, rest = path.read_text().partition("\n")
+        meta = json.loads(header)
+        assert meta["meta"]["backend"] == "serial"
+        meta["meta"]["backend"] = "thread"
+        path.write_text(json.dumps(meta) + "\n" + rest)
+        with pytest.raises(ValueError, match="different run parameters"):
+            setup.run(
+                "Rand", "hyperpower", run_seed=2, max_evaluations=4,
+                backend="serial", workers=2, resume_from=path,
+            )
+
 
 @pytest.mark.faults
 @pytest.mark.parametrize("scheduler", ["sync", "async"])
-def test_resumed_run_reports_the_same_metrics(
-    setup, tmp_path, scheduler, fault_backend
-):
+def test_resumed_run_reports_the_same_metrics(setup, tmp_path, scheduler):
     """A resumed run's metrics snapshot equals an uninterrupted run's:
     journaled results charge their dispatches, dispatch waves and backoff
     waits exactly as the live evaluations did."""
     kwargs = dict(
-        run_seed=2, max_evaluations=N_ITERATIONS, backend=fault_backend,
+        run_seed=2, max_evaluations=N_ITERATIONS, backend="serial",
         workers=2, scheduler=scheduler,
         faults=FaultRates(crash=0.3, nvml=0.2), fault_seed=11,
     )
@@ -245,9 +263,7 @@ def test_resumed_run_reports_the_same_metrics(
 @pytest.mark.faults
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_kill_and_resume_all_cells(
-    setup, tmp_path, solver, variant, fault_backend
-):
+def test_kill_and_resume_all_cells(setup, tmp_path, solver, variant):
     """ISSUE acceptance: killing a run mid-journal and resuming produces a
     byte-identical ``run_to_dict`` in all eight solver/variant cells.
 
@@ -256,7 +272,7 @@ def test_kill_and_resume_all_cells(
     """
     kwargs = dict(
         run_seed=7, max_evaluations=N_ITERATIONS,
-        backend=fault_backend, workers=2,
+        backend="serial", workers=2,
     )
     path = tmp_path / "full.jsonl"
     full = setup.run(solver, variant, journal=path, **kwargs)

@@ -5,19 +5,14 @@ Four invariant families guard the rung path:
 * *seed purity* — a trial promoted through every rung reproduces the
   full-fidelity evaluation of the same seed bit-exactly (same curve,
   same best error), paying only incremental epochs per segment;
-* *determinism* — serial/thread/process backends produce byte-identical
-  runs, and promotion decisions never depend on completion arrival order;
+* *determinism* — repeated runs are byte-identical, and promotion
+  decisions never depend on completion arrival order;
 * *crash safety* — a run killed mid-rung (trials paused, continuations in
   flight) resumes bit-identically from its journal, including under
   fault injection;
 * *byte-identity of the classic paths* — ``rungs=0`` runs are untouched
   (the golden suite pins this globally; here we spot-check the knob).
-
-The cross-backend tests honour ``MULTIFIDELITY_BACKEND``
-(serial/thread/process), mirroring the async/faults/telemetry lanes.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -29,8 +24,6 @@ from repro.core.result import TrialStatus
 from repro.experiments.setup import quick_setup
 from repro.io import run_to_dict
 from repro.telemetry import Telemetry
-
-MULTIFIDELITY_BACKEND = os.environ.get("MULTIFIDELITY_BACKEND", "serial")
 
 pytestmark = pytest.mark.multifidelity
 
@@ -99,7 +92,7 @@ class TestRungScheduling:
     def test_run_promotes_and_culls(self, setup):
         telemetry = Telemetry()
         result = setup.run(
-            "HW-IECI", "hyperpower", backend=MULTIFIDELITY_BACKEND,
+            "HW-IECI", "hyperpower", backend="serial",
             max_evaluations=27, telemetry=telemetry, **RUN_KW,
         )
         statuses = {t.status for t in result.trials}
@@ -119,7 +112,7 @@ class TestRungScheduling:
 
     def test_full_ladder_trains_full_schedule(self, setup):
         result = setup.run(
-            "Rand", "default", backend=MULTIFIDELITY_BACKEND,
+            "Rand", "default", backend="serial",
             max_evaluations=27, **RUN_KW,
         )
         completed = [
@@ -141,7 +134,7 @@ class TestRungScheduling:
     def test_rungs_off_is_byte_identical_knob(self, setup):
         """rungs=0 must route through the untouched classic async path."""
         kw = dict(
-            backend=MULTIFIDELITY_BACKEND, workers=3, max_evaluations=8,
+            backend="serial", workers=3, max_evaluations=8,
             scheduler="async",
         )
         classic = setup.run("HW-IECI", "hyperpower", **kw)
@@ -150,7 +143,7 @@ class TestRungScheduling:
 
     def test_hyperband_brackets_round_robin(self, setup):
         result = setup.run(
-            "Rand", "default", backend=MULTIFIDELITY_BACKEND,
+            "Rand", "default", backend="serial",
             scheduler="async", rungs=4, eta=3, brackets=2, workers=3,
             max_evaluations=30,
         )
@@ -161,7 +154,7 @@ class TestRungScheduling:
     def test_worker_occupancy_stays_high(self, setup):
         telemetry = Telemetry()
         setup.run(
-            "HW-IECI", "hyperpower", backend=MULTIFIDELITY_BACKEND,
+            "HW-IECI", "hyperpower", backend="serial",
             max_time_s=3600.0, telemetry=telemetry, **RUN_KW,
         )
         snap = telemetry.metrics.snapshot()
@@ -172,18 +165,8 @@ class TestRungScheduling:
 
 
 class TestDeterminism:
-    def test_backends_identical(self, setup):
-        kw = dict(max_evaluations=18, **RUN_KW)
-        runs = [
-            run_to_dict(setup.run("HW-IECI", "hyperpower", backend=b, **kw))
-            for b in ("serial", "thread", "process")
-        ]
-        assert runs[0] == runs[1] == runs[2]
-
     def test_repeat_runs_identical(self, setup):
-        kw = dict(
-            backend=MULTIFIDELITY_BACKEND, max_evaluations=18, **RUN_KW
-        )
+        kw = dict(backend="serial", max_evaluations=18, **RUN_KW)
         a = setup.run("HW-IECI", "hyperpower", **kw)
         b = setup.run("HW-IECI", "hyperpower", **kw)
         assert run_to_dict(a) == run_to_dict(b)
@@ -193,13 +176,11 @@ class TestDeterminism:
         cache = TrialCache()
         objective = setup.new_objective(3)
         config = setup.space.sample(np.random.default_rng(9))
-        with EvaluationPool(
-            objective, backend="serial", workers=1, cache=cache,
-        ) as pool:
-            pool.submit(config, 0.0, cache_lookup_s=0.01)
-            classic = pool.next_completion()
-            pool.submit_segment(config, classic.finish_s, epochs=3)
-            rung = pool.next_completion()
+        pool = EvaluationPool(objective, workers=1, cache=cache)
+        pool.submit(config, 0.0, cache_lookup_s=0.01)
+        classic = pool.next_completion()
+        pool.submit_segment(config, classic.finish_s, epochs=3)
+        rung = pool.next_completion()
         assert not classic.outcome.cached
         assert not rung.outcome.cached  # distinct key: no false hit
         assert pool.misses == 2
@@ -261,9 +242,7 @@ class TestMidRungResume:
     def test_kill_and_resume_bit_exact(self, setup, tmp_path, keep_rounds):
         """Killing with trials paused at rungs and continuations in
         flight resumes bit-identically: same promotions, same culls."""
-        kw = dict(
-            backend=MULTIFIDELITY_BACKEND, max_evaluations=18, **RUN_KW
-        )
+        kw = dict(backend="serial", max_evaluations=18, **RUN_KW)
         full_path = tmp_path / "full.jsonl"
         full = setup.run(
             "HW-IECI", "hyperpower", journal=full_path, **kw
@@ -280,7 +259,7 @@ class TestMidRungResume:
         """Continuation retries re-roll fault luck only — the curve seed
         is pinned — and the whole run still resumes bit-exactly."""
         kw = dict(
-            backend=MULTIFIDELITY_BACKEND, max_evaluations=15,
+            backend="serial", max_evaluations=15,
             faults=FaultRates(crash=0.1, hang=0.05, nan_loss=0.05, nvml=0.1),
             retry=RetryPolicy(max_attempts=3, timeout_s=4000.0),
             **RUN_KW,
@@ -297,7 +276,7 @@ class TestMidRungResume:
     def test_resume_rejects_fidelity_mismatch(self, setup, tmp_path):
         """A journal written under different rung parameters is refused."""
         path = tmp_path / "rungs.jsonl"
-        kw = dict(backend=MULTIFIDELITY_BACKEND, max_evaluations=6)
+        kw = dict(backend="serial", max_evaluations=6)
         setup.run(
             "Rand", "default", journal=path, scheduler="async",
             rungs=3, eta=3, workers=3, **kw,

@@ -5,9 +5,9 @@ Two invariant families guard the engine:
 * *screening soundness* — the vectorised ``screen_batch`` accepts exactly
   the configurations the per-config ``indicator`` loop accepts, for
   arbitrary candidate sets and budgets (property-based);
-* *backend determinism* — serial, thread, and process backends produce
-  identical seeded ``RunResult`` trial sequences, so parallelism never
-  changes what an experiment reports.
+* *pool mechanics* — seeding, caching, duplicate sharing and the
+  q-parallel wall-time charge of the in-process pool, whose workers are
+  simulated, so a pooled run replays identically.
 """
 
 import json
@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import GIB, ConstraintSpec, ModelConstraintChecker
-from repro.core.parallel import BACKENDS, EvaluationPool, TrialCache
+from repro.core.parallel import EvaluationPool, TrialCache
 from repro.core.result import TrialStatus
+from repro.core.spec import RunSpec
 from repro.experiments.setup import quick_setup
 from repro.io import run_to_dict
 from repro.telemetry import Telemetry
@@ -103,37 +104,20 @@ class TestBatchScreeningMatchesSerial:
 
 
 class TestEvaluationPool:
-    def test_rejects_unknown_backend(self, setup):
-        objective = setup.new_objective(0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            EvaluationPool(objective, backend="mpi")
+    def test_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            RunSpec("Rand", "default", backend="thread")
 
     def test_rejects_nonpositive_workers(self, setup):
         objective = setup.new_objective(0)
         with pytest.raises(ValueError, match="workers"):
             EvaluationPool(objective, workers=0)
 
-    def test_seeded_outcomes_identical_across_backends(self, setup):
-        configs = setup.space.sample_many(4, np.random.default_rng(3))
-        per_backend = {}
-        for backend in BACKENDS:
-            objective = setup.new_objective(0)
-            with EvaluationPool(
-                objective, backend=backend, workers=2, seed=11
-            ) as pool:
-                outcomes = _round(pool, configs[:2]) + _round(pool, configs[2:])
-            per_backend[backend] = [
-                (po.outcome.error, po.outcome.cost_s, po.seed)
-                for po in outcomes
-            ]
-        assert per_backend["serial"] == per_backend["thread"]
-        assert per_backend["serial"] == per_backend["process"]
-
     def test_evaluation_does_not_touch_clock_or_shared_rng(self, setup):
         objective = setup.new_objective(0)
         state_before = objective._rng.bit_generator.state
-        with EvaluationPool(objective, workers=2, seed=5) as pool:
-            _round(pool, setup.space.sample_many(2, np.random.default_rng(0)))
+        pool = EvaluationPool(objective, workers=2, seed=5)
+        _round(pool, setup.space.sample_many(2, np.random.default_rng(0)))
         assert objective.clock.now_s == 0.0
         assert objective._rng.bit_generator.state == state_before
 
@@ -141,10 +125,8 @@ class TestEvaluationPool:
         # One round: the repeats wait for the in-flight original.
         objective = setup.new_objective(0)
         config = setup.space.sample(np.random.default_rng(1))
-        with EvaluationPool(
-            objective, workers=3, cache=TrialCache(), seed=2
-        ) as pool:
-            outcomes = _round(pool, [config, dict(config), config])
+        pool = EvaluationPool(objective, workers=3, cache=TrialCache(), seed=2)
+        outcomes = _round(pool, [config, dict(config), config])
         assert [po.cached for po in outcomes] == [False, True, True]
         assert pool.hits == 2 and pool.misses == 1
         # All three slots carry the one fresh outcome.
@@ -153,11 +135,11 @@ class TestEvaluationPool:
     def test_later_round_duplicates_are_cache_hits(self, setup):
         objective = setup.new_objective(0)
         config = setup.space.sample(np.random.default_rng(1))
-        with EvaluationPool(objective, cache=TrialCache(), seed=2) as pool:
-            outcomes = [
-                po for c in (config, dict(config), config)
-                for po in _round(pool, [c])
-            ]
+        pool = EvaluationPool(objective, cache=TrialCache(), seed=2)
+        outcomes = [
+            po for c in (config, dict(config), config)
+            for po in _round(pool, [c])
+        ]
         assert [po.cached for po in outcomes] == [False, True, True]
         assert pool.hits == 2 and pool.misses == 1
         assert len({id(po.outcome) for po in outcomes}) == 1
@@ -168,10 +150,10 @@ class TestEvaluationPool:
         a, b = setup.space.sample_many(2, np.random.default_rng(5))
 
         def seeds(configs):
-            with EvaluationPool(
+            pool = EvaluationPool(
                 setup.new_objective(0), cache=TrialCache(), seed=2
-            ) as pool:
-                return [po.seed for c in configs for po in _round(pool, [c])]
+            )
+            return [po.seed for c in configs for po in _round(pool, [c])]
 
         with_hit = seeds([a, dict(a), b])
         assert with_hit[1] is None
@@ -183,17 +165,17 @@ class TestEvaluationPool:
     def test_drain_returns_ticket_order_and_empties_the_pool(self, setup):
         objective = setup.new_objective(0)
         configs = setup.space.sample_many(3, np.random.default_rng(4))
-        with EvaluationPool(objective, workers=3, seed=6) as pool:
-            tickets = [pool.submit(c, 0.0) for c in configs]
-            outcomes = pool.drain()
-            assert pool.n_inflight == 0
-            # Ticket order is submission order: seeds come from the
-            # submission counter whatever order the trainings finish in.
-            assert [po.seed for po in outcomes] == [
-                int(np.random.SeedSequence([6, t]).generate_state(1)[0])
-                for t in tickets
-            ]
-            assert pool.drain() == []
+        pool = EvaluationPool(objective, workers=3, seed=6)
+        tickets = [pool.submit(c, 0.0) for c in configs]
+        outcomes = pool.drain()
+        assert pool.n_inflight == 0
+        # Ticket order is submission order: seeds come from the
+        # submission counter whatever order the trainings finish in.
+        assert [po.seed for po in outcomes] == [
+            int(np.random.SeedSequence([6, t]).generate_state(1)[0])
+            for t in tickets
+        ]
+        assert pool.drain() == []
 
     # A drained round of a synchronous pooled run advances the clock by
     # its q-parallel wall time, ``n_cached * lookup + max(fresh)``.
@@ -246,26 +228,10 @@ class TestEvaluationPool:
             assert end_s == start_s + len(trials) * lookup_s
 
 
-# -- backend determinism, end to end ---------------------------------------------
+# -- pooled runs, end to end ----------------------------------------------------
 
 
 class TestBackendDeterminism:
-    @pytest.mark.parametrize("solver", ["Rand-Walk", "HW-CWEI"])
-    def test_backends_produce_identical_run_results(self, setup, solver):
-        payloads = {}
-        for backend in BACKENDS:
-            result = setup.run(
-                solver,
-                "hyperpower",
-                run_seed=1,
-                max_evaluations=6,
-                backend=backend,
-                workers=2,
-            )
-            payloads[backend] = json.dumps(run_to_dict(result), sort_keys=True)
-        assert payloads["serial"] == payloads["thread"]
-        assert payloads["serial"] == payloads["process"]
-
     def test_pooled_serial_single_worker_matches_itself(self, setup):
         a = setup.run(
             "Rand", "hyperpower", run_seed=2, max_evaluations=5,

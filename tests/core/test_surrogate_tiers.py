@@ -164,11 +164,9 @@ class TestBuildMethodPlumbing:
 
 
 class TestFantasyLieFallback:
-    def _optimizer_with_history(self, errors, fantasy="cl-mean"):
+    def _optimizer_with_history(self, errors):
         space = mnist_space()
-        opt = BayesianOptimizer(
-            space, ExpectedImprovement(), fantasy=fantasy
-        )
+        opt = BayesianOptimizer(space, ExpectedImprovement())
         rng = np.random.default_rng(0)
         configs = [space.sample(rng) for _ in range(len(errors))]
         state = SearchState(
@@ -188,9 +186,9 @@ class TestFantasyLieFallback:
     def test_non_finite_errors_never_reach_the_surrogate(self):
         """Fantasizing while some observed errors are non-finite must fall
         back to the mean of the *finite* errors rather than poisoning the
-        surrogate with a NaN lie (``cl-mean`` over a history containing
-        NaN is itself NaN)."""
-        errors = [0.3, 0.2, float("nan"), 0.25, 0.4, 0.35]
+        surrogate with a NaN lie (with a NaN first, the incumbent scan
+        never replaces it, so the ``cl-min`` lie is itself NaN)."""
+        errors = [float("nan"), 0.3, 0.2, 0.25, 0.4, 0.35]
         opt, state, gp, pending = self._optimizer_with_history(errors)
         fantasy, n_lies = opt._fantasize(gp, state, pending)
         assert n_lies == len(pending)
@@ -203,9 +201,7 @@ class TestFantasyLieFallback:
     def test_all_non_finite_errors_skip_fantasies(self):
         errors = [float("nan"), float("nan"), float("nan")]
         space = mnist_space()
-        opt = BayesianOptimizer(
-            space, ExpectedImprovement(), fantasy="cl-mean"
-        )
+        opt = BayesianOptimizer(space, ExpectedImprovement())
         rng = np.random.default_rng(1)
         state = SearchState(
             trained_configs=[space.sample(rng) for _ in range(3)],

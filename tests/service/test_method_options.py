@@ -46,6 +46,7 @@ def _spec(solver: str, method_options) -> dict:
         ("Rand", {"n_init": True}, "n_init"),
         ("Rand", {"backend": "serial"}, "backend"),
         ("Rand", {"no_such_knob": 1}, "no_such_knob"),
+        ("HW-IECI", {"fantasy": "cl-min"}, "fantasy"),
     ],
 )
 def test_bad_method_options_are_refused_at_create(service, solver, options, field):
@@ -56,7 +57,7 @@ def test_bad_method_options_are_refused_at_create(service, solver, options, fiel
 
 
 def test_knobs_the_solver_ignores_are_accepted(service):
-    service.create_study(_spec("Rand", {"n_init": 3, "fantasy": "cl-mean"}))
+    service.create_study(_spec("Rand", {"n_init": 3, "gp_restarts": 1}))
     assert len(service.suggest("opts", 2)) == 2
 
 
@@ -72,3 +73,17 @@ def test_refused_spec_in_a_journal_header_fails_load(tmp_path):
         ManagedStudy.load(directory)
     with pytest.raises(InvalidParamsError, match="gp_restarts"):
         StudySpec.from_dict(header["meta"]["spec"])
+
+
+def test_a_stored_fantasy_option_fails_load(tmp_path):
+    # ``fantasy`` was a method option; cl-min is now the only behaviour,
+    # so a stored spec that still names it is refused, not ignored.
+    directory = tmp_path / "opts"
+    directory.mkdir()
+    header = {
+        "format": STUDY_JOURNAL_FORMAT,
+        "meta": {"spec": _spec("HW-IECI", {"fantasy": "cl-mean"})},
+    }
+    (directory / "study.jsonl").write_text(json.dumps(header) + "\n")
+    with pytest.raises(InvalidParamsError, match="fantasy"):
+        ManagedStudy.load(directory)

@@ -12,10 +12,6 @@ Regenerate after an *intentional* behaviour change with::
     PYTHONPATH=src python -m pytest tests/telemetry/test_golden.py --regen-golden
 
 and review the fixture diff like any other code change.
-
-The pooled tests honour ``TELEMETRY_BACKEND`` (serial/thread/process).
-The committed goldens were generated on the serial backend, so a green
-run under every backend is the cross-backend trace-identity guarantee.
 """
 
 import hashlib
@@ -135,16 +131,14 @@ def test_sequential_cell_matches_golden(
     )
 
 
-def test_pool_trace_matches_golden(
-    setup, golden_dir, regen_golden, telemetry_backend
-):
+def test_pool_trace_matches_golden(setup, golden_dir, regen_golden):
     """The pooled driver's synthesized spans replay the serial golden."""
     result, telemetry, records = _traced_run(
         setup,
         "HW-IECI",
         "hyperpower",
         max_evaluations=POOL_BUDGET,
-        backend=telemetry_backend,
+        backend="serial",
         workers=POOL_WORKERS,
     )
     assert result.n_trained == POOL_BUDGET
@@ -156,9 +150,7 @@ def test_pool_trace_matches_golden(
     _check_golden(golden_dir, "pool__HW-IECI__hyperpower", records, meta, regen_golden)
 
 
-def test_async_trace_matches_golden(
-    setup, golden_dir, regen_golden, telemetry_backend
-):
+def test_async_trace_matches_golden(setup, golden_dir, regen_golden):
     """The event-driven scheduler's schedule/dispatch/complete spans,
     fantasy accounting and occupancy gauge replay the committed golden."""
     result, telemetry, records = _traced_run(
@@ -166,7 +158,7 @@ def test_async_trace_matches_golden(
         "HW-IECI",
         "hyperpower",
         max_evaluations=POOL_BUDGET,
-        backend=telemetry_backend,
+        backend="serial",
         workers=ASYNC_WORKERS,
         scheduler="async",
     )
@@ -181,9 +173,7 @@ def test_async_trace_matches_golden(
     )
 
 
-def test_rungs_trace_matches_golden(
-    setup, golden_dir, regen_golden, telemetry_backend
-):
+def test_rungs_trace_matches_golden(setup, golden_dir, regen_golden):
     """One async SHA rung cell: rung spans with dispatch/pause children,
     promote/cull decision records, rung counters and the occupancy gauge
     replay the committed golden."""
@@ -192,7 +182,7 @@ def test_rungs_trace_matches_golden(
         "HW-IECI",
         "hyperpower",
         max_evaluations=9,
-        backend=telemetry_backend,
+        backend="serial",
         workers=ASYNC_WORKERS,
         scheduler="async",
         rungs=3,
@@ -223,28 +213,6 @@ def test_sync_fixtures_byte_identical(golden_dir, regen_golden):
             "perturb synchronous traces (update the pin only alongside an "
             "intentional --regen-golden)"
         )
-
-
-def test_backends_emit_identical_traces(setup):
-    """Serial and thread pools produce the same normalized trace and the
-    same metrics snapshot (the process backend rides through the CI
-    lane's TELEMETRY_BACKEND matrix against the committed golden)."""
-    traces, metrics, results = {}, {}, {}
-    for backend in ("serial", "thread"):
-        result, telemetry, records = _traced_run(
-            setup,
-            "Rand",
-            "hyperpower",
-            max_evaluations=POOL_BUDGET,
-            backend=backend,
-            workers=POOL_WORKERS,
-        )
-        traces[backend] = records
-        metrics[backend] = telemetry.metrics.snapshot()
-        results[backend] = json.dumps(run_to_dict(result), sort_keys=True)
-    assert not diff_traces(traces["serial"], traces["thread"])
-    assert metrics["serial"] == metrics["thread"]
-    assert results["serial"] == results["thread"]
 
 
 def test_tracing_leaves_results_byte_identical(setup):

@@ -11,7 +11,7 @@ PAIRS = ("cifar10-gtx1070", "cifar10-tx1", "mnist-gtx1070", "mnist-tx1")
 _TABLE = [("--scale", float, 1.0, None), ("--repeats", int, 3, None)]
 
 #: Every option of every command, as ``(flag, type, default, choices)``:
-#: the 56 ``add_argument`` calls of ``build_parser``.
+#: the 55 ``add_argument`` calls of ``build_parser``.
 SURFACE = {
     "": [("--seed", int, 0, None), ("--samples", int, 100, None)],
     "table1": [],
@@ -34,7 +34,7 @@ SURFACE = {
         ("--surrogate", None, "exact", ("exact", "rff", "nystrom", "auto")),
         ("--surrogate-features", int, 256, None),
         ("--surrogate-switch-at", int, 1000, None),
-        ("--backend", None, None, ("serial", "thread", "process")),
+        ("--backend", None, None, ("serial",)),
         ("--workers", int, 1, None),
         ("--scheduler", None, "sync", ("sync", "async")),
         ("--rungs", int, 0, None),
@@ -42,7 +42,6 @@ SURFACE = {
         ("--min-epochs", int, 1, None),
         ("--brackets", int, 1, None),
         ("--scatter-init", int, 0, None),
-        ("--fantasy", None, "cl-min", ("cl-min", "cl-mean", "none")),
         ("--no-cache", None, False, None),
         ("--warm-cache", None, False, None),
         ("--fault-crash", float, 0.0, None),
@@ -97,6 +96,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--solver", "Grid-9000"])
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_removed_backends_rejected(self, backend, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--backend", backend])
+        assert exc.value.code == 2
+        assert "invalid choice: '" + backend in capsys.readouterr().err
+
     def test_option_surface_is_pinned(self):
         parser = build_parser()
         (sub,) = [
@@ -124,7 +130,7 @@ class TestParser:
             required += [a.option_strings[0] for a in options if a.required]
         assert required == ["--root"]
         # The six fixed-runtime commands share one loop's two calls.
-        assert sum(map(len, SURFACE.values())) - 5 * len(_TABLE) == 56
+        assert sum(map(len, SURFACE.values())) - 5 * len(_TABLE) == 55
 
 
 class TestCommands:

@@ -1,13 +1,15 @@
-"""The program's entry points must not import ``scipy.stats`` or
-``scipy.optimize``.
+"""The program's entry points must not import ``scipy.stats``,
+``scipy.optimize`` or a process pool.
 
 ``scipy.stats`` roughly doubles the set-up import time and adds ~20 MB
 to every process that loads it, yet the program only ever needed the
 standard normal cdf and pdf (``scipy.special.ndtr`` and one numpy
 expression).  ``scipy.optimize`` adds ~17 MB more and is needed only
 when a GP fits its hyper-parameters or the NNLS ablation runs, so it is
-imported there, on first use.  The checks run in a fresh interpreter so
-that modules the test session itself loaded cannot mask an import.
+imported there, on first use.  Nor do they import ``multiprocessing``
+or ``concurrent.futures.process``: the evaluation pool trains in-process.
+The checks run in a fresh interpreter so that modules the test session
+itself loaded cannot mask an import.
 """
 
 import subprocess
@@ -46,3 +48,17 @@ def test_entry_points_do_not_import_scipy_optimize():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]", f"scipy.optimize modules loaded: {out.strip()}"
+
+
+PROCESS_PROBE = PROBE.replace(
+    "m.split('.')[:2] == ['scipy', 'stats']",
+    "m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'",
+)
+
+
+def test_entry_points_do_not_import_process_pools():
+    out = subprocess.run(
+        [sys.executable, "-c", PROCESS_PROBE.format(src=SRC_DIR)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]", f"process-pool modules loaded: {out.strip()}"

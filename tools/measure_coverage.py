@@ -5,8 +5,8 @@ CI measures coverage properly with ``coverage.py`` (see the ``coverage``
 job in ``.github/workflows/ci.yml``); this tool exists for environments
 where that package is not installable.  It traces the test run with
 ``sys.settrace`` and ``threading.settrace``, so code that runs on threads
-the tests start (an in-process ``StudyServer``, the pool's ``thread``
-backend) counts too; worker processes are not traced.  It records which
+the tests start (an in-process ``StudyServer``) counts too; subprocesses
+are not traced.  It records which
 lines of ``src/repro`` execute and divides by the executable-line count
 derived from each module's compiled code objects (``co_lines``), which is
 the same line universe coverage.py uses.  Expect agreement within a
