@@ -176,7 +176,7 @@ def test_snapshot_recovery_speedup():
 
         t0 = time.perf_counter()
         snapped = StudyStore(root, fsync=True)
-        snapped.get("bench-000")  # restores from study.snap
+        snapped.get("bench-000")  # restores from the compacted header
         snapshot_s = time.perf_counter() - t0
 
         speedup = replay_s / snapshot_s if snapshot_s > 0 else float("inf")

@@ -228,6 +228,16 @@ class SearchMethod(ABC):
         working there.
         """
 
+    def state_dict(self) -> dict | None:
+        """What the method carries between proposals, as JSON-ready data
+        (``None``: its proposals depend only on the search state and the
+        RNG)."""
+        return None
+
+    def load_state(self, state: dict | None, search: SearchState) -> None:
+        """Restore a :meth:`state_dict` record on a fresh instance;
+        ``search`` is the search state rebuilt from the same trials."""
+
 
 class _ModelScreeningMixin:
     """Shared batch-screening loop for the model-free HyperPower methods.
@@ -410,6 +420,9 @@ class GridSearch(_ModelScreeningMixin, SearchMethod):
         self._axes = [p.grid(resolution) for p in self.space.parameters]
         self._cursor = [0] * len(self._axes)
         self._exhausted = False
+
+    def state_dict(self) -> dict | None:
+        raise NotImplementedError("grid search does not save its cursor")
 
     @property
     def grid_size(self) -> int:
@@ -730,6 +743,38 @@ class BayesianOptimizer(SearchMethod):
                     self._gp.append(X[i], y[i])
             self._gp_n = n
         return self._gp, 0, appends
+
+    def state_dict(self) -> dict | None:
+        """The surrogate schedule and the last refit's raw
+        hyper-parameters (``None`` before the first fit)."""
+        if self._gp is None:
+            return None
+        return {
+            "gp_n": self._gp_n,
+            "last_refit_n": self._last_refit_n,
+            "variance": self._gp.kernel.variance,
+            "lengthscales": self._gp.kernel.lengthscales.tolist(),
+            "noise_variance": self._gp.noise_variance,
+        }
+
+    def load_state(self, state: dict | None, search: SearchState) -> None:
+        """Rebuild the surrogate: the last refit's fit at its stored
+        hyper-parameters, then the appends since.  The raw values are
+        assigned, not round-tripped through ``set_theta``'s log/exp, so
+        the rebuilt posterior and the next warm start are bit-identical."""
+        if state is None:
+            return
+        refit_n, gp_n = int(state["last_refit_n"]), int(state["gp_n"])
+        gp = self._make_surrogate(refit_n)
+        gp.kernel.variance = float(state["variance"])
+        gp.kernel.lengthscales = np.array(state["lengthscales"], dtype=float)
+        gp.noise_variance = float(state["noise_variance"])
+        X = self.space.encode_many(search.trained_configs[:gp_n])
+        y = np.asarray(search.trained_errors[:gp_n], dtype=float)
+        gp.fit(X[:refit_n], y[:refit_n], optimize_hypers=False)
+        for i in range(refit_n, gp_n):
+            gp.append(X[i], y[i])
+        self._gp, self._gp_n, self._last_refit_n = gp, gp_n, refit_n
 
     def _make_surrogate(self, n_obs: int = 0):
         """A fresh objective surrogate for the tier ``n_obs`` points call for.

@@ -9,6 +9,11 @@ with the field's name (or, for a choice, ``unknown <field>``).  The
 public classes a value ends up in (``BayesianOptimizer``,
 ``FidelitySchedule``, ``EvaluationPool``, ...) keep their own range
 checks for callers that build them directly.
+
+:data:`STREAM_VERSION` names what a seed produces: the same code, seed,
+spec and stream version give byte-identical trajectories.  The run
+journal and the service study journal record it in their header line, and
+resume and load refuse any other version (:class:`StreamVersionError`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ from .faults import FaultRates, RetryPolicy
 from .fidelity import FidelitySchedule
 from .study import VARIANTS
 
-__all__ = ["SOLVERS", "METHOD_FIELDS", "RunSpec"]
+__all__ = [
+    "SOLVERS", "METHOD_FIELDS", "RunSpec", "STREAM_VERSION",
+    "StreamVersionError", "check_stream_version",
+]
+
+#: Version of the proposal stream.  A change that moves any trajectory
+#: bumps it once; durable state written under another version is refused.
+STREAM_VERSION = 1
 
 #: The four solvers of Section 3.5.
 SOLVERS = ("Rand", "Rand-Walk", "HW-CWEI", "HW-IECI")
@@ -145,6 +157,21 @@ class RunSpec:
     def method_options(self) -> dict:
         """The method knobs, as ``build_method`` keywords."""
         return {name: getattr(self, name) for name in METHOD_FIELDS}
+
+
+class StreamVersionError(ValueError):
+    """Durable state written by another stream version than this code's."""
+
+
+def check_stream_version(header: dict, where) -> None:
+    """Refuse a journal header of another stream version (a header
+    without the ``stream_version`` field reads as version 1)."""
+    found = header.get("stream_version", 1)
+    if found != STREAM_VERSION:
+        raise StreamVersionError(
+            f"{where}: written by stream version {found!r}, but this code "
+            f"is stream version {STREAM_VERSION}"
+        )
 
 
 def _check(name: str, annotation: str, value) -> None:

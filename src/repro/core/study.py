@@ -420,9 +420,8 @@ class Study:
         :class:`~repro.core.result.Trial`.  A trained sample also joins
         the training set the method conditions on.
         """
-        state = self.state
         trial = Trial(
-            index=len(state.trials),
+            index=len(self.state.trials),
             config=dict(preds.config),
             status=status,
             timestamp_s=self.clock.now_s,
@@ -432,14 +431,18 @@ class Study:
             feasible_pred=preds.feasible_pred,
             **fields,
         )
+        self._append_trial(trial)
+        self._trial_counter(status).inc()
+        return trial
+
+    def _append_trial(self, trial: Trial) -> None:
+        state = self.state
         state.trials.append(trial)
         self.result.trials.append(trial)
-        self._trial_counter(status).inc()
         if trial.was_trained:
-            state.trained_configs.append(dict(preds.config))
+            state.trained_configs.append(dict(trial.config))
             state.trained_errors.append(trial.error)
             state.trained_feasible.append(trial.feasible_meas)
-        return trial
 
     def _measured(self, proposal: Proposal, outcome) -> dict:
         """The measured :class:`~repro.core.result.Trial` fields of one
@@ -732,6 +735,72 @@ class Study:
             attempts=1,
             failure_kind=report.failure_kind,
         )
+
+    # -- durable state --------------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The study's state as JSON-ready data, for :meth:`load_state`.
+
+        The clock, the proposal RNG, the ticket counter, the trials, the
+        pending suggestions and the method's own state
+        (:meth:`~repro.core.methods.SearchMethod.state_dict`).  The search
+        state is rebuilt from the trials.  Telemetry is not part of it, nor
+        is the partial observation the multi-fidelity driver pins on a
+        paused suggestion (``observed_error``), which ask/tell never sets.
+        """
+        from ..io import trial_to_dict  # io imports this package
+
+        return {
+            "now_s": self.clock.now_s,
+            "rng": self.rng.bit_generator.state,
+            "next_ticket": self._next_ticket,
+            "trials": [trial_to_dict(t) for t in self.state.trials],
+            "pending": [
+                {
+                    "ticket": s.ticket,
+                    "config": dict(s.config),
+                    "issued_s": s.issued_s,
+                    "duplicate_of": s.duplicate_of,
+                    "power_pred_w": s.proposal.power_pred_w,
+                    "memory_pred_bytes": s.proposal.memory_pred_bytes,
+                    "feasible_pred": s.proposal.feasible_pred,
+                }
+                for s in self._pending.values()
+            ],
+            "method": self.method.state_dict(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Continue from a :meth:`state_dict` record.
+
+        Called on a freshly built study with the same method, variant and
+        spec: it then suggests and observes exactly as the study that
+        wrote the record would have.
+        """
+        from ..io import trial_from_dict
+
+        self.clock = SimClock(float(state["now_s"]))
+        self.rng.bit_generator.state = state["rng"]
+        self._next_ticket = int(state["next_ticket"])
+        for data in state["trials"]:
+            self._append_trial(trial_from_dict(data))
+        for data in state["pending"]:
+            config = dict(data["config"])
+            proposal = Proposal(
+                config=config,
+                power_pred_w=data["power_pred_w"],
+                memory_pred_bytes=data["memory_pred_bytes"],
+                feasible_pred=data["feasible_pred"],
+            )
+            self._pending[int(data["ticket"])] = Suggestion(
+                ticket=int(data["ticket"]),
+                proposal=proposal,
+                config=dict(config),
+                issued_s=float(data["issued_s"]),
+                duplicate_of=data["duplicate_of"],
+                key=canonical_config_key(config),
+            )
+        self.method.load_state(state["method"], self.state)
 
     # -- finishing ------------------------------------------------------------------
 

@@ -29,6 +29,7 @@ import numpy as np
 from .core.objective import EvaluationOutcome
 from .core.parallel import PoolOutcome
 from .core.result import RunResult, Trial, TrialStatus
+from .core.spec import STREAM_VERSION, check_stream_version
 from .hwsim.nvml import PowerTrace
 from .hwsim.profiler import HardwareMeasurement
 from .telemetry.jsonl import JsonlWriter, scan_jsonl
@@ -262,6 +263,7 @@ def _scan_journal(path: Path) -> tuple[dict, list[dict], dict | None, int]:
         if header is None:
             if record.get("format") != JOURNAL_FORMAT:
                 raise ValueError(f"{path}: not a repro journal file")
+            check_stream_version(record, path)
             header = record
             keep = line_end
         elif "round" in record:
@@ -306,13 +308,18 @@ def _eval_entry(pool_outcome: PoolOutcome) -> dict:
 class RunJournal:
     """Append-only JSONL journal of a run in progress.
 
-    Line 1 is a header (``{"format": "repro-journal/1", "meta": ...}``);
+    Line 1 is a header (``{"format": "repro-journal/1",
+    "stream_version": 1, "meta": ...}``);
     each subsequent line records one completed driver round — the trials
     it produced plus, on the pool path, the fresh evaluation results
     needed to replay the round without re-training.  Every line is
     flushed and fsynced before :meth:`append_round` returns, so a crash
     loses at most the round in flight; :func:`JournalReplay.load`
     tolerates (and a resuming :meth:`reopen` truncates) a torn tail.
+
+    Reopening or loading a journal written under another
+    :data:`~repro.core.spec.STREAM_VERSION` raises
+    :class:`~repro.core.spec.StreamVersionError`.
 
     A resumed run re-runs from its first round.  :meth:`append_round`
     checks each round against :attr:`recorded`, in order, and skips the
@@ -331,7 +338,10 @@ class RunJournal:
         #: Rounds already in this file (the prefix :meth:`reopen` kept).
         self._on_disk = 0
         self._writer = JsonlWriter(self.path, chaos=chaos)
-        self._write_line({"format": JOURNAL_FORMAT, "meta": self.meta})
+        self._write_line(
+            {"format": JOURNAL_FORMAT, "stream_version": STREAM_VERSION,
+             "meta": self.meta}
+        )
 
     @classmethod
     def reopen(cls, path: str | Path, *, chaos=None) -> "RunJournal":

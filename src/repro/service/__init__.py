@@ -24,7 +24,6 @@ from .quotas import StudyQuota, TokenBucket
 from .server import StudyServer, WallClock, serve
 from .store import (
     STUDY_JOURNAL_FORMAT,
-    STUDY_SNAPSHOT_FORMAT,
     ManagedStudy,
     StudySpec,
     StudyStore,
@@ -32,7 +31,6 @@ from .store import (
 
 __all__ = [
     "STUDY_JOURNAL_FORMAT",
-    "STUDY_SNAPSHOT_FORMAT",
     "ClientRetryPolicy",
     "InvalidParamsError",
     "ManagedStudy",

@@ -34,13 +34,16 @@ Three hardening layers ride on top of that contract:
   reloads the study from the intact journal on next access, exactly like
   a process crash and restart, but scoped to one study.  The caller sees
   a retryable :class:`~repro.service.errors.StorageError`.
-* **Snapshot compaction.**  :meth:`ManagedStudy.snapshot` writes the full
-  study state (a pickle whose resume behavior is verified bit-exact
-  against replay) to ``study.snap`` via the classic two-phase dance —
-  temp file, fsync, atomic rename, directory fsync — then truncates the
-  event journal back to its header.  Recovery cost drops from O(all
-  events) to O(events since the last snapshot); a torn or stale snapshot
-  is detected by CRC and ignored in favor of full replay.
+* **Snapshot compaction.**  :meth:`ManagedStudy.snapshot` replaces the
+  journal with a single header line that carries the study's state as
+  JSON (:meth:`~repro.core.study.Study.state_dict`, the event count and
+  the idempotency window): temp file, fsync, atomic rename, directory
+  fsync.  A crash leaves either the old journal or the compacted one,
+  never a mix.  Recovery cost drops from O(all events) to O(events
+  since the last snapshot), and loading a study parses JSON only.
+
+The header also records the :data:`~repro.core.spec.STREAM_VERSION`
+that wrote the study; a study of another version is refused at load.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import copy
 import json
 import math
 import os
-import pickle
 import threading
 import time
 import zlib
@@ -62,7 +64,7 @@ import numpy as np
 from ..core.clock import SimClock
 from ..core.constraints import ConstraintSpec
 from ..core.parallel import canonical_config_key
-from ..core.spec import RunSpec
+from ..core.spec import STREAM_VERSION, RunSpec, check_stream_version
 from ..core.study import Study, TrialReport
 from ..io import trial_to_dict
 from ..space.space import SearchSpace
@@ -81,7 +83,6 @@ from .quotas import StudyQuota, TokenBucket, check_request
 
 __all__ = [
     "STUDY_JOURNAL_FORMAT",
-    "STUDY_SNAPSHOT_FORMAT",
     "StudySpec",
     "ManagedStudy",
     "StudyStore",
@@ -89,12 +90,6 @@ __all__ = [
 
 #: Format tag of the per-study event journal.
 STUDY_JOURNAL_FORMAT = "repro-study/1"
-
-#: Format tag of the per-study snapshot file.
-STUDY_SNAPSHOT_FORMAT = "repro-study-snap/1"
-
-#: Pickle protocol pinned for snapshot payload stability.
-_SNAPSHOT_PICKLE_PROTOCOL = 4
 
 #: Study names must be filesystem- and URL-safe.
 _NAME_CHARS = frozenset(
@@ -251,7 +246,6 @@ class ManagedStudy:
         self.spec = spec
         self.directory = Path(directory)
         self.journal_path = self.directory / "study.jsonl"
-        self.snapshot_path = self.directory / "study.snap"
         self.study = _build_study(spec)
         self.lock = threading.RLock()
         self._fsync = fsync
@@ -266,10 +260,8 @@ class ManagedStudy:
         self._m_retries = self.metrics.counter("service.retries")
         self._m_snapshots = self.metrics.counter("journal.snapshots")
         self._event = 0
-        #: Journal events below this are captured by ``study.snap``.
+        #: Journal events below this are captured by the header's state.
         self._snap_event = 0
-        #: Byte offset just past the journal's header line.
-        self._header_end = 0
         #: Bounded idempotency window: key -> {"op", "response"}.
         self._dedupe: OrderedDict[str, dict] = OrderedDict()
         self._poisoned = False
@@ -302,9 +294,7 @@ class ManagedStudy:
             managed.journal_path, fsync=fsync, chaos=chaos
         )
         try:
-            managed._writer.write(
-                {"format": STUDY_JOURNAL_FORMAT, "meta": {"spec": spec.to_dict()}}
-            )
+            managed._writer.write(managed._header())
         except JournalWriteError as exc:
             managed._m_write_errors.inc()
             try:
@@ -322,22 +312,22 @@ class ManagedStudy:
                 data={"study": spec.name, "op": exc.op, "kind": exc.kind,
                       "retryable": True},
             ) from exc
-        managed._header_end = managed._writer.visible_offset
         return managed
 
     @classmethod
     def load(cls, directory: Path, *, fsync: bool = True,
              timer=time.monotonic, chaos=None, snapshot_every: int | None = None,
              metrics=None, tracer=None, trace_lock=None) -> "ManagedStudy":
-        """Resume a study from its snapshot + journal, bit-exactly.
+        """Resume a study from its journal, bit-exactly.
 
-        A valid ``study.snap`` restores the state through its captured
-        event in O(1); the journal's valid line prefix then replays only
-        the events past the snapshot through a freshly rebuilt study
-        (verifying every recomputed suggestion and recorded trial against
-        the journal).  Any torn journal tail is truncated, a torn or
-        corrupt snapshot is ignored in favor of full replay, and the
-        journal reopens for appending.
+        A compacted journal's header carries the study's state, which is
+        restored first; the journal's valid line prefix then replays the
+        events after it (verifying every recomputed suggestion and
+        recorded trial against the journal).  Any torn journal tail is
+        truncated and the journal reopens for appending.  A header of
+        another stream version, a damaged state or a journal compacted
+        by an older release into ``study.snap`` is refused, and the file
+        is left as it is.
         """
         directory = Path(directory)
         path = directory / "study.jsonl"
@@ -350,33 +340,36 @@ class ManagedStudy:
                 f"{path}: not a study journal (format "
                 f"{header.get('format')!r})"
             )
+        check_stream_version(header, path)
         spec = StudySpec.from_dict(header.get("meta", {}).get("spec", {}))
         managed = cls(spec, directory, fsync=fsync, timer=timer, chaos=chaos,
                       snapshot_every=snapshot_every, metrics=metrics,
                       tracer=tracer, trace_lock=trace_lock)
-        managed._header_end = keep
-        snapshot = cls._read_snapshot(managed.snapshot_path)
-        if snapshot is not None:
-            managed.study = snapshot["study"]
-            managed._dedupe = OrderedDict(snapshot["dedupe"])
-            managed._event = managed._snap_event = snapshot["event"]
-        elif len(records) > 1 and records[1][0].get("event", 0) > 0:
-            # The journal was compacted past its missing/corrupt
-            # snapshot: the events below the compaction point are gone
-            # and replay cannot reconstruct the study.
-            raise ValueError(
-                f"{path}: journal is compacted (first event "
-                f"{records[1][0].get('event')!r}) but "
-                f"{managed.snapshot_path.name} is missing or corrupt"
+        state = header.get("state")
+        if state is not None:
+            try:
+                managed.study.load_state(state["study"])
+                managed._dedupe = OrderedDict(state["dedupe"])
+                managed._event = managed._snap_event = int(state["event"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: the study state in the journal header is "
+                    f"damaged ({exc!r})"
+                ) from exc
+        elif (directory / "study.snap").exists() and (
+            len(records) == 1 or records[1][0].get("event") != 0
+        ):
+            # Compacted by an older release, which serialised the object
+            # graph into study.snap: loading it would run arbitrary code.
+            # (Beside a journal that starts at event 0 it is stale.)
+            raise StorageError(
+                f"{path}: journal was compacted into study.snap (format "
+                "repro-study-snap/1) by an older release; that state is "
+                "not read",
+                data={"study": spec.name, "op": "load",
+                      "format": "repro-study-snap/1", "retryable": False},
             )
         for record, end in records[1:]:
-            event = record.get("event")
-            if isinstance(event, int) and event < managed._snap_event:
-                # Pre-snapshot event surviving a crash between the
-                # snapshot rename and the journal truncation: already
-                # captured by the snapshot state, skip it.
-                keep = end
-                continue
             managed._replay_event(record)
             keep = end
         with open(path, "r+b") as fh:
@@ -385,42 +378,16 @@ class ManagedStudy:
                                       chaos=chaos)
         return managed
 
-    @staticmethod
-    def _read_snapshot(path: Path) -> dict | None:
-        """Parse and validate a snapshot file; None if absent/corrupt."""
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        newline = raw.find(b"\n")
-        if newline < 0:
-            return None
-        try:
-            header = json.loads(raw[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != STUDY_SNAPSHOT_FORMAT
-        ):
-            return None
-        payload = raw[newline + 1:]
-        if (
-            len(payload) != header.get("payload_bytes")
-            or zlib.crc32(payload) != header.get("crc32")
-        ):
-            return None
-        try:
-            state = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - any corruption falls back to replay
-            return None
-        if not isinstance(state, dict) or "study" not in state:
-            return None
-        return {
-            "event": int(header.get("event", 0)),
-            "study": state["study"],
-            "dedupe": state.get("dedupe", []),
+    def _header(self, state: dict | None = None) -> dict:
+        """The journal's header line, with the study's state once compacted."""
+        header = {
+            "format": STUDY_JOURNAL_FORMAT,
+            "stream_version": STREAM_VERSION,
+            "meta": {"spec": self.spec.to_dict()},
         }
+        if state is not None:
+            header["state"] = state
+        return header
 
     def _replay_event(self, record: dict) -> None:
         expected = self._event
@@ -547,16 +514,14 @@ class ManagedStudy:
     # -- snapshot compaction ---------------------------------------------------------
 
     def snapshot(self) -> int:
-        """Write a crash-safe snapshot and compact the event journal.
+        """Compact the journal into one header line carrying the state.
 
-        Two-phase: the full study state (whose pickle round-trip is
-        resume-equivalent to journal replay) is written to a temp file,
-        fsynced, atomically renamed over ``study.snap``, and the
-        directory entry fsynced — only then is the journal truncated back
-        to its header.  A crash at any point leaves a loadable pair:
-        before the rename the old snapshot (or none) plus the full
-        journal; after it, the new snapshot plus a journal whose stale
-        prefix the loader skips.  Returns the snapshot's event count.
+        The header (spec, stream version and the study's JSON state) is
+        written to a temp file, fsynced and atomically renamed over the
+        journal, and the directory entry is fsynced; the writer then
+        reopens on the compacted journal.  A crash at any point leaves
+        either the old journal or the compacted one.  Returns the event
+        count the state covers.
         """
         with self.lock:
             if self._writer is None:
@@ -578,34 +543,19 @@ class ManagedStudy:
             return event
 
     def _snapshot_locked(self) -> int:
-        # Acknowledged-but-delayed records must land before the journal
-        # is truncated, or compaction would turn them into losses.
-        self._writer.flush()
-        payload = pickle.dumps(
-            {"study": self.study, "dedupe": list(self._dedupe.items())},
-            protocol=_SNAPSHOT_PICKLE_PROTOCOL,
-        )
-        header = {
-            "format": STUDY_SNAPSHOT_FORMAT,
+        header = self._header({
             "event": self._event,
-            "payload_bytes": len(payload),
-            "crc32": zlib.crc32(payload),
-        }
-        tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
+            "dedupe": list(self._dedupe.items()),
+            "study": self.study.state_dict(),
+        })
+        tmp = self.journal_path.with_name(self.journal_path.name + ".tmp")
         try:
             with open(tmp, "wb") as fh:
                 fh.write(json.dumps(header).encode("utf-8") + b"\n")
-                fh.write(payload)
                 fh.flush()
                 if self._fsync:
                     os.fsync(fh.fileno())
-            os.replace(tmp, self.snapshot_path)
-            if self._fsync:
-                dir_fd = os.open(self.directory, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
+            os.replace(tmp, self.journal_path)
         except OSError as exc:
             try:
                 tmp.unlink()
@@ -617,22 +567,23 @@ class ManagedStudy:
                 data={"study": self.spec.name, "op": "snapshot",
                       "kind": "os", "retryable": True},
             ) from exc
-        # The snapshot is durable; compact the journal back to its
-        # header.  A failure past this point must not lose the (already
-        # safe) state: reopen or, failing that, poison for reload.
-        self._writer.close()
+        # The old journal is unlinked: records its writer still buffers
+        # (delayed appends) are covered by the new header's state.
+        self._writer.crash()
         self._writer = None
         try:
-            with open(self.journal_path, "r+b") as fh:
-                fh.truncate(self._header_end)
-                fh.flush()
-                if self._fsync:
-                    os.fsync(fh.fileno())
+            if self._fsync:
+                dir_fd = os.open(self.directory, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
             self._writer = JsonlWriter(
                 self.journal_path, append=True, fsync=self._fsync,
                 chaos=self._chaos,
             )
         except OSError as exc:
+            # The compacted journal is in place; reload from it.
             self._m_write_errors.inc()
             self._poison()
             raise StorageError(
@@ -824,7 +775,7 @@ class StudyStore:
     """Thread-safe store of many named studies rooted at one directory.
 
     Studies load lazily: a store pointed at an existing root resumes each
-    study from its snapshot + journal on first access — and a study
+    study from its journal on first access — and a study
     poisoned by a failed journal write is transparently reloaded the same
     way, so one bad append degrades to a scoped micro-restart rather than
     a corrupted server.  The per-study lock spans the state mutation

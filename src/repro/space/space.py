@@ -256,17 +256,6 @@ class SearchSpace:
             else None
         )
 
-    def __getstate__(self) -> dict:
-        # The array draw and the column encoding are derived from the
-        # parameters: pickles (study snapshots) leave them out and keep the
-        # layout older ones have.
-        state = self.__dict__.copy()
-        del state["_array_draw"], state["_column_encode"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["_params"])
-
     # -- basic introspection -------------------------------------------------
 
     @property

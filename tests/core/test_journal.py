@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.faults import FaultRates, RetryPolicy
 from repro.core.hyperpower import SOLVERS, VARIANTS
+from repro.core.spec import StreamVersionError
 from repro.experiments.setup import quick_setup
 from repro.io import JOURNAL_FORMAT, JournalReplay, RunJournal, run_to_dict
 from repro.telemetry import Telemetry
@@ -325,7 +326,9 @@ def test_legacy_journal_resumes_bit_exact(setup, tmp_path, cell):
     """A journal written by an earlier release stays resumable: replaying
     its prefix and continuing live reproduces an uninterrupted run of the
     current code bit for bit, and the journal it leaves behind is the
-    one the current code writes from scratch."""
+    one the current code writes from scratch — but for the header's
+    ``stream_version`` field, which the earlier release did not write
+    and which reads as version 1."""
     name, kwargs = LEGACY_JOURNALS[cell]
     torn = tmp_path / "torn.jsonl"
     shutil.copy(Path(__file__).parent / "data" / name, torn)
@@ -333,4 +336,33 @@ def test_legacy_journal_resumes_bit_exact(setup, tmp_path, cell):
     full = setup.run("Rand", "default", journal=full_path, **kwargs)
     resumed = setup.run("Rand", "default", resume_from=torn, **kwargs)
     assert run_to_dict(resumed) == run_to_dict(full)
-    assert torn.read_bytes() == full_path.read_bytes()
+    torn_header, torn_rounds = torn.read_bytes().split(b"\n", 1)
+    full_header, full_rounds = full_path.read_bytes().split(b"\n", 1)
+    assert torn_rounds == full_rounds
+    assert "stream_version" not in json.loads(torn_header)
+    assert {**json.loads(torn_header), "stream_version": 1} == json.loads(
+        full_header
+    )
+
+
+def test_journal_of_another_stream_version_is_refused(setup, tmp_path):
+    """A run journal whose header is edited to stream version 2 is refused
+    by load, reopen and resume with the typed error naming both versions."""
+    name, kwargs = LEGACY_JOURNALS["async_4w"]
+    header, rounds = (Path(__file__).parent / "data" / name).read_bytes().split(
+        b"\n", 1
+    )
+    edited = tmp_path / "v2.jsonl"
+    edited.write_bytes(
+        json.dumps({**json.loads(header), "stream_version": 2}).encode("utf-8")
+        + b"\n" + rounds
+    )
+    before = edited.read_bytes()
+    for open_journal in (
+        JournalReplay.load,
+        RunJournal.reopen,
+        lambda path: setup.run("Rand", "default", resume_from=path, **kwargs),
+    ):
+        with pytest.raises(StreamVersionError, match="version 2.*version 1"):
+            open_journal(edited)
+    assert edited.read_bytes() == before

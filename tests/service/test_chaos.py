@@ -101,19 +101,25 @@ def _journal_bytes(session, name: str) -> bytes:
     return (session.root / name / "study.jsonl").read_bytes()
 
 
-def test_hundred_studies_chaos_equivalence(make_service, chaos_seed):
+@pytest.mark.parametrize("snapshot_every", [None, 4])
+def test_hundred_studies_chaos_equivalence(make_service, chaos_seed,
+                                           snapshot_every):
     """100 interleaved studies under storage chaos + kills end bit-exact.
 
     The chaos session injects every storage fault kind while being
     killed and resumed mid-stream; the twin is a fault-free serial
     session driven with the *same* requests and idempotency keys.  The
     surviving trials, tickets, statuses and journal bytes must match
-    exactly — retries never duplicate a ticket or double-observe.
+    exactly — retries never duplicate a ticket or double-observe.  With
+    ``snapshot_every`` both sessions compact as they go, so resumes and
+    reloads also restore from compacted headers.
     """
     chaotic = make_service(
-        "chaotic", chaos_rate=CHAOS_RATE, chaos_seed=chaos_seed
+        "chaotic", chaos_rate=CHAOS_RATE, chaos_seed=chaos_seed,
+        snapshot_every=snapshot_every,
     )
-    twin = make_service("twin", backend="serial")
+    twin = make_service("twin", backend="serial",
+                        snapshot_every=snapshot_every)
     for i in range(N_STUDIES):
         spec = _spec(i)
         _retrying(lambda: chaotic.create_study(spec))

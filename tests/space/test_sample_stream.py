@@ -8,7 +8,6 @@ entry, Lemire redraws and the generators that always take the loop.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -179,16 +178,3 @@ def test_neighbors_match_the_scalar_neighbor_loop(preset, n, sigma, seed):
     assert [space.neighbor(center, sigma, loop_rng) for _ in range(n)] == got
     assert _state(loop_rng) == _state(rng)
 
-
-def test_pickles_leave_the_array_draw_out():
-    """Study snapshots pickle the space: the derived array draw stays out,
-    and a pickle made without it (as older snapshots were) loads into a
-    space that draws the same stream."""
-    space = cifar10_space()
-    assert set(space.__getstate__()) == {"_params", "_by_name"}
-    old = SearchSpace.__new__(SearchSpace)
-    old.__setstate__({"_params": list(space.parameters), "_by_name": {}})
-    for restored in (pickle.loads(pickle.dumps(space)), old):
-        rng, ref = _generators(5)
-        assert restored.sample_many(64, rng) == space.sample_many(64, ref)
-        assert _state(rng) == _state(ref)
